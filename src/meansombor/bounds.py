@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -43,6 +42,7 @@ from .indices import (
     sombor,
     variable_first_zagreb,
 )
+from .spectral import variance_radicand
 
 DEFAULT_RANDOM_SEED = 20240803
 
@@ -358,19 +358,12 @@ def check_mso2_m1_m2_bound(g: Graph, graph_id: str = "") -> BoundReport:
 
 
 def _variance_identity_report(g: Graph, a: Alpha, graph_id: str) -> BoundReport:
-    # local import: spectral depends on indices, not on bounds
-    from .spectral import build_matrix, edge_term_stats, trace_of_square
-
-    stats = edge_term_stats(g, a)
-    tr = trace_of_square(build_matrix(g, a))
-    radicand = (stats.m / 2.0) * tr - stats.m**2 * stats.sigma2
-    rhs = math.sqrt(max(radicand, 0.0))
     return BoundReport(
         bound_id="variance-identity",
         graph_id=graph_id,
         alpha=a,
         lhs=mean_sombor(g, a),
-        rhs=rhs,
+        rhs=math.sqrt(max(variance_radicand(g, a), 0.0)),
         equality_predicted=True,
     )
 
@@ -401,21 +394,15 @@ def run_verification(
     corpus: Sequence[NamedGraph] | None = None,
     random_count: int = 1000,
     seed: int = DEFAULT_RANDOM_SEED,
-    jobs: int = 1,
 ) -> list[BoundReport]:
     """Sweep all checks over the corpus plus seeded random connected graphs.
 
-    The result order is deterministic for fixed inputs regardless of jobs.
+    The result order is deterministic for fixed inputs.
     """
     graphs = list(default_corpus() if corpus is None else corpus)
     if random_count > 0:
         graphs.extend(random_connected_graphs(random_count, seed))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_graph = list(pool.map(checks_for_graph, graphs))
-    else:
-        per_graph = [checks_for_graph(n) for n in graphs]
-    return [r for rows in per_graph for r in rows]
+    return [r for named in graphs for r in checks_for_graph(named)]
 
 
 REPORT_COLUMNS = (

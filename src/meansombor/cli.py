@@ -200,7 +200,6 @@ def _parse_range(spec: str) -> AlphaGrid:
 @click.option("--curve-out", "curve_dir", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1)
 def scan(
     properties_path: str,
     prop: str | None,
@@ -208,7 +207,6 @@ def scan(
     curve_dir: str | None,
     fmt: str,
     out: str | None,
-    jobs: int,
 ) -> None:
     """Scan the exponent for the best |r| per property."""
     ds = _load_octane_dataset(properties_path)
@@ -216,7 +214,7 @@ def scan(
     props = [prop] if prop else ds.usable_properties()
     reports = []
     for p in props:
-        best, curve = alpha_scan(ds, p, grid, jobs=jobs)
+        best, curve = alpha_scan(ds, p, grid)
         reports.append(best)
         if curve_dir:
             d = Path(curve_dir)
@@ -231,10 +229,9 @@ def scan(
 @click.option("--random", "random_count", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_RANDOM_SEED, show_default=True)
 @click.option("--out", type=click.Path(), default="bound_reports.csv", show_default=True)
-@click.option("--jobs", type=int, default=1)
-def verify(random_count: int, seed: int, out: str, jobs: int) -> None:
+def verify(random_count: int, seed: int, out: str) -> None:
     """Check every proved bound over the corpus; exit 2 on any failure."""
-    reports = run_verification(random_count=random_count, seed=seed, jobs=jobs)
+    reports = run_verification(random_count=random_count, seed=seed)
     with open(out, "w", encoding="utf-8") as fh:
         write_reports_csv(reports, fh, seed=seed, random_count=random_count)
     failures = [r for r in reports if not r.ok]

@@ -17,6 +17,11 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 
+# Largest vertex count parse_graph accepts; keeps a dense n x n float
+# matrix at 128 MiB.
+MAX_VERTICES = 4096
+
+
 class GraphParseError(ValueError):
     """Raised when an edge-list document is malformed; names the bad line."""
 
@@ -121,44 +126,26 @@ def regularity_class(g: Graph) -> RegularityClass:
     return RegularityClass(RegularityTag.NEITHER)
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff one component spans all vertices (single vertex counts)."""
-    if g.vertex_count == 1:
-        return True
+def _bfs(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first walk from `root`: (parent, order), where order lists the
+    reached vertices in visit order and parent[root] is -1."""
+    parent = [-1] * g.vertex_count
+    order = [root]
     seen = [False] * g.vertex_count
-    stack = [0]
-    seen[0] = True
-    count = 1
+    seen[root] = True
     adj = g.adjacency
-    while stack:
-        u = stack.pop()
+    for u in order:
         for v in adj[u]:
             if not seen[v]:
                 seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == g.vertex_count
+                parent[v] = u
+                order.append(v)
+    return parent, order
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.vertex_count
-    comps: list[list[int]] = []
-    adj = g.adjacency
-    for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(comp)
-    return comps
+def is_connected(g: Graph) -> bool:
+    """True iff one component spans all vertices (single vertex counts)."""
+    return len(_bfs(g, 0)[1]) == g.vertex_count
 
 
 def all_components_regular(g: Graph) -> bool:
@@ -177,10 +164,11 @@ def all_components_regular(g: Graph) -> bool:
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document.
 
-    Format: first nonblank line is the vertex count N; each following
-    nonblank line is "u v" with 0 <= u, v < N.  Lines starting with '#'
-    are ignored.  Self-loops, duplicate edges, and out-of-range ids are
-    rejected with the offending line number.
+    Format: first nonblank line is the vertex count N, 1 <= N <=
+    MAX_VERTICES; each following nonblank line is "u v" with
+    0 <= u, v < N.  Lines starting with '#' are ignored.  Self-loops,
+    duplicate edges, out-of-range ids, and a vertex count above the limit
+    are rejected with the offending line number.
     """
     vertex_count: int | None = None
     pairs: list[tuple[int, int]] = []
@@ -196,6 +184,10 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: expected vertex count, got {line!r}")
             if vertex_count < 1:
                 raise GraphParseError(f"line {lineno}: vertex count must be positive")
+            if vertex_count > MAX_VERTICES:
+                raise GraphParseError(
+                    f"line {lineno}: vertex count {vertex_count} exceeds the limit {MAX_VERTICES}"
+                )
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -287,46 +279,17 @@ def random_connected_graphs(count: int, seed: int, max_vertices: int = 12) -> li
 # Tree canonical form and enumeration
 # ---------------------------------------------------------------------------
 
-def _subtree_sizes(g: Graph, root: int) -> list[int]:
-    n = g.vertex_count
-    size = [1] * n
-    parent = [-1] * n
-    order = [root]
-    seen = [False] * n
-    seen[root] = True
-    for u in order:
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
-    return size
-
-
 def tree_centroids(g: Graph) -> list[int]:
     """The one or two centroid vertices of a tree (minimize the largest
     remaining component after removal)."""
     n = g.vertex_count
-    if n == 1:
-        return [0]
-    size = _subtree_sizes(g, 0)
-    # recompute "max component if removed" via rooted sizes
+    parent, order = _bfs(g, 0)
+    size = [1] * n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    # rooted at 0: removing u leaves its child subtrees and n - size[u]
     best: list[int] = []
     best_val = n + 1
-    parent_size = {}
-    # rooted at 0: for vertex u, components are child subtrees + (n - size[u])
-    parent = [-1] * n
-    order = [0]
-    seen = [False] * n
-    seen[0] = True
-    for u in order:
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
     for u in range(n):
         worst = n - size[u]
         for v in g.adjacency[u]:
@@ -337,22 +300,13 @@ def tree_centroids(g: Graph) -> list[int]:
             best = [u]
         elif worst == best_val:
             best.append(u)
-    return sorted(best)
+    return best
 
 
 def _rooted_code(g: Graph, root: int) -> tuple:
     """Canonical nested-tuple code of the tree rooted at `root` (children
     codes sorted), computed iteratively."""
-    parent = [-1] * g.vertex_count
-    order = [root]
-    seen = [False] * g.vertex_count
-    seen[root] = True
-    for u in order:
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
+    parent, order = _bfs(g, root)
     code: list[tuple | None] = [None] * g.vertex_count
     children: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for u in order[1:]:

@@ -6,9 +6,12 @@ The model is ``property ~ c1 * mSO_a(G) + c2`` per property.  For each
 candidate exponent the pipeline reports Pearson's r, the slope/intercept,
 the standard error of estimate, the F statistic ``r^2 (n-2) / (1-r^2)`` and
 its upper-tail significance under F(1, n-2).  The significance is computed
-with an in-package regularized incomplete beta (continued fraction,
-absolute tolerance 1e-12, at most 300 iterations) so that p-values at the
-1e-15 scale are meaningful.
+with an in-package regularized incomplete beta (continued fraction, at most
+300 iterations), so p-values far below 1e-15 keep their relative accuracy.
+The 1e-12 stopping tolerance of the fraction is not that accuracy: against
+scipy.stats.f.sf (df1 <= 4, 20k random draws) the worst relative error is
+about 1e-12 for df2 <= 100 and below 1e-8 for df2 up to 1e6 (6.4e-9 at
+f = 2.99 on (1, 594040)).
 
 Experimental property values are user-supplied (see scripts/
 fetch_octane_properties.py for the schema); the package ships no
@@ -328,7 +331,6 @@ def alpha_scan(
     ds: QsprDataset,
     prop: str,
     grid: AlphaGrid | None = None,
-    jobs: int = 1,
 ) -> tuple[RegressionReport, list[tuple[Alpha, float]]]:
     """Find the exponent maximizing |r| for one property.
 
@@ -352,13 +354,7 @@ def alpha_scan(
     def r_at(a: Alpha) -> float:
         return fit_linear(x_vector(a), y).r
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            xs = list(pool.map(x_vector, points))
-    else:
-        xs = [x_vector(a) for a in points]
+    xs = [x_vector(a) for a in points]
     _check_monotone_columns(xs)
     curve = [(a, fit_linear(x, y).r) for a, x in zip(points, xs)]
 

@@ -76,16 +76,21 @@ def edge_term_stats(g: Graph, a: Alpha) -> EdgeTermStats:
     return EdgeTermStats(m=m, mean=mean, sigma2=sigma2)
 
 
+def variance_radicand(g: Graph, a: Alpha) -> float:
+    """(m/2) tr(M^2) - m^2 sigma^2, the square of mSO in exact arithmetic."""
+    stats = edge_term_stats(g, a)
+    m = stats.m
+    tr = trace_of_square(build_matrix(g, a))
+    return (m / 2.0) * tr - m * m * stats.sigma2
+
+
 def variance_identity_check(g: Graph, a: Alpha) -> float:
     """Residual of mSO = sqrt((m/2) tr(M^2) - m^2 sigma^2).
 
     A correct implementation keeps |residual| <= 1e-9 * (1 + mSO).  A
     radicand below -1e-9 * scale raises IdentityViolation.
     """
-    stats = edge_term_stats(g, a)
-    m = stats.m
-    tr = trace_of_square(build_matrix(g, a))
-    radicand = (m / 2.0) * tr - m * m * stats.sigma2
+    radicand = variance_radicand(g, a)
     scale = 1.0 + abs(radicand)
     if radicand < -1e-9 * scale:
         raise IdentityViolation(

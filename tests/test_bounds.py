@@ -339,15 +339,6 @@ def test_run_verification_small_corpus_passes():
     ]
 
 
-def test_run_verification_parallel_matches_serial():
-    corpus = default_corpus()[:10]
-    serial = run_verification(corpus, random_count=5, seed=3, jobs=1)
-    parallel = run_verification(corpus, random_count=5, seed=3, jobs=4)
-    assert [(r.bound_id, r.graph_id, r.lhs, r.rhs) for r in serial] == [
-        (r.bound_id, r.graph_id, r.lhs, r.rhs) for r in parallel
-    ]
-
-
 def test_write_reports_csv_shape(k13):
     rows = checks_for_graph(NamedGraph("s", k13))
     buf = io.StringIO()

@@ -223,6 +223,14 @@ def test_malformed_graph_is_operational_error(capsys, tmp_path):
     assert "self-loop" in err
 
 
+def test_oversized_graph_header_is_operational_error(capsys, tmp_path):
+    big = tmp_path / "big.txt"
+    big.write_text("10000000000\n0 1\n")
+    code, _, err = run(capsys, "compute", "--graph", str(big), "--alpha", "2")
+    assert code == 1
+    assert "line 1" in err and "exceeds the limit" in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1

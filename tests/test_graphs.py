@@ -13,6 +13,7 @@ import networkx as nx
 import pytest
 
 from meansombor.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphParseError,
     RegularityTag,
@@ -32,6 +33,7 @@ from meansombor.graphs import (
     regularity_class,
     star_graph,
     to_edge_list_text,
+    tree_centroids,
 )
 
 
@@ -64,6 +66,8 @@ def test_parse_comments_and_blanks():
         ("2\n0 x", "integers"),
         ("", "vertex count"),
         ("3\n0 1 2", "expected 'u v'"),
+        # header only: rejected before anything is allocated
+        (f"{MAX_VERTICES + 1}\n", f"vertex count {MAX_VERTICES + 1} exceeds the limit"),
     ],
 )
 def test_parse_errors_name_line(text, fragment):
@@ -76,6 +80,10 @@ def test_parse_errors_name_line(text, fragment):
 def test_parse_error_line_number_is_physical():
     with pytest.raises(GraphParseError, match="line 4"):
         parse_graph("# header\n3\n0 1\n1 1")
+
+
+def test_parse_accepts_vertex_count_at_limit():
+    assert parse_graph(f"{MAX_VERTICES}\n").vertex_count == MAX_VERTICES
 
 
 def test_round_trip_serialization():
@@ -138,6 +146,39 @@ def test_is_connected(p3):
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1, frozenset()))
     assert not is_connected(disjoint_union(complete_graph(3), complete_graph(4)))
+
+
+def _brute_force_centroids(g):
+    """Vertices minimizing the largest component left after removing them."""
+    def largest_left(x):
+        best = 0
+        seen = {x}
+        for s in range(g.vertex_count):
+            if s in seen:
+                continue
+            seen.add(s)
+            stack, size = [s], 0
+            while stack:
+                u = stack.pop()
+                size += 1
+                for v in g.adjacency[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            best = max(best, size)
+        return best
+
+    worst = [largest_left(x) for x in range(g.vertex_count)]
+    return [x for x in range(g.vertex_count) if worst[x] == min(worst)]
+
+
+def test_tree_centroids_match_brute_force():
+    assert tree_centroids(path_graph(7)) == [3]
+    assert tree_centroids(path_graph(8)) == [3, 4]
+    assert tree_centroids(star_graph(5)) == [0]
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            assert tree_centroids(t) == _brute_force_centroids(t)
 
 
 # ---------------------------------------------------------------------------

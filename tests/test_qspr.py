@@ -79,6 +79,11 @@ def test_f_significance_against_scipy_grid():
             assert f_significance(f, 1, df2) == pytest.approx(
                 float(scipy.stats.f.sf(f, 1, df2)), rel=1e-9
             )
+        # large df2: the documented accuracy there is 1e-8, not 1e-12
+        for df2 in (1_000, 100_000, 1_000_000):
+            assert f_significance(f, 1, df2) == pytest.approx(
+                float(scipy.stats.f.sf(f, 1, df2)), rel=1e-8
+            )
 
 
 def test_f_significance_monotone_in_f():
@@ -302,13 +307,6 @@ def test_scan_deterministic():
     b2, c2 = alpha_scan(ds, "P", AlphaGrid(-2, 2, 0.1))
     assert b1 == b2
     assert c1 == c2  # bit-exact reproducibility
-
-
-def test_scan_parallel_matches_serial():
-    ds = planted_dataset(Alpha.finite(1.5))
-    b1, c1 = alpha_scan(ds, "P", AlphaGrid(-1, 1, 0.1), jobs=1)
-    b2, c2 = alpha_scan(ds, "P", AlphaGrid(-1, 1, 0.1), jobs=4)
-    assert b1 == b2 and c1 == c2
 
 
 # ---------------------------------------------------------------------------
