@@ -15,6 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import chain, repeat
+from typing import Sequence
+
+import numpy as np
 
 from .graphs import Graph
 
@@ -137,14 +141,61 @@ def power_mean(x: float, y: float, a: Alpha) -> float:
     return float(max(x, y))
 
 
+def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -> np.ndarray:
+    """Power means of positive pairs at many exponents, shape
+    (len(pairs), len(alphas)).
+
+    Applies the scalar :func:`power_mean` formula elementwise, equal-pair
+    short-circuit and tags included; numpy's pow can differ from Python's
+    in the last bits, so finite cells agree to rounding, not bit for bit.
+    """
+    d = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    if (d <= 0.0).any():
+        raise ValueError("power mean needs positive arguments")
+    lo, hi = d.min(axis=1)[:, None], d.max(axis=1)[:, None]
+    kinds = np.array([a.kind for a in alphas])
+    out = np.empty((len(d), len(alphas)))
+    fin = kinds == FINITE
+    af = np.array([a.value for a in alphas if a.is_finite])
+    base = np.where(af > 0, hi, lo)
+    t = np.where(af > 0, lo / hi, hi / lo)
+    pm = base * ((1.0 + t**af) / 2.0) ** (1.0 / af)
+    out[:, fin] = np.where(lo == hi, lo, pm)
+    out[:, kinds == ZERO] = np.sqrt(lo * hi)
+    out[:, kinds == MINUS_INF] = lo
+    out[:, kinds == PLUS_INF] = hi
+    return out
+
+
+def descriptor_matrix(graphs: Sequence[Graph], alphas: Sequence[Alpha]) -> np.ndarray:
+    """mSO of every graph at every exponent, shape (len(graphs), len(alphas)).
+
+    Evaluates the kernel once per distinct degree pair of the whole set,
+    then X = C @ PM with C the per-graph pair counts.
+    """
+    pairs = sorted({p for g in graphs for p, _ in g.degree_pairs})
+    column = {p: j for j, p in enumerate(pairs)}
+    counts = np.zeros((len(graphs), len(pairs)))
+    for i, g in enumerate(graphs):
+        for p, c in g.degree_pairs:
+            counts[i, column[p]] = c
+    return counts @ power_mean_grid(pairs, alphas)
+
+
 def _edge_degrees(g: Graph) -> list[tuple[int, int]]:
     deg = g.degrees
     return [(deg[u], deg[v]) for u, v in g.edge_list]
 
 
 def mean_sombor(g: Graph, a: Alpha) -> float:
-    """Sum of the power mean of the endpoint degrees over all edges."""
-    return math.fsum(power_mean(du, dv, a) for du, dv in _edge_degrees(g))
+    """Sum of the power mean of the endpoint degrees over all edges.
+
+    PM is evaluated once per distinct degree pair; fsum over the terms
+    repeated by their counts rounds the same multiset as a per-edge sum.
+    """
+    return math.fsum(
+        chain.from_iterable(repeat(power_mean(lo, hi, a), c) for (lo, hi), c in g.degree_pairs)
+    )
 
 
 def edge_terms(g: Graph, a: Alpha) -> list[float]:

@@ -2,8 +2,12 @@
 one-descriptor linear model, and scan the power-mean exponent for the best
 Pearson correlation.
 
-The model is ``property ~ c1 * mSO_a(G) + c2`` per property.  For each
-candidate exponent the pipeline reports Pearson's r, the slope/intercept,
+The model is ``property ~ c1 * mSO_a(G) + c2`` per property.  The scan's
+grid curve is Pearson's r of every grid column at once: the descriptor
+matrix comes from the degree-pair kernel ``indices.descriptor_matrix``
+and agrees with per-point fits to about 1e-14.  Refinement, candidate
+scoring and the reported row use the scalar path.  For each reported
+exponent the pipeline gives Pearson's r, the slope/intercept,
 the standard error of estimate, the F statistic ``r^2 (n-2) / (1-r^2)`` and
 its upper-tail significance under F(1, n-2).  The significance is computed
 with an in-package regularized incomplete beta (continued fraction, at most
@@ -27,8 +31,17 @@ import math
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Sequence
 
+import numpy as np
+
 from .graphs import Graph, NamedGraph
-from .indices import ALPHA_MINUS_INF, ALPHA_PLUS_INF, Alpha, ZERO_LIMIT, mean_sombor
+from .indices import (
+    ALPHA_MINUS_INF,
+    ALPHA_PLUS_INF,
+    Alpha,
+    ZERO_LIMIT,
+    descriptor_matrix,
+    mean_sombor,
+)
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
@@ -318,13 +331,24 @@ def _alpha_at(value: float) -> Alpha:
     return ZERO_LIMIT if value == 0.0 else Alpha.finite(value)
 
 
-def _check_monotone_columns(xs: list[list[float]]) -> None:
-    # mSO is nondecreasing in the exponent, so the descriptor vectors must
-    # be componentwise sorted along the ascending grid
-    for prev, cur in zip(xs, xs[1:]):
-        for p, c in zip(prev, cur):
-            if c < p - 1e-9 * (1.0 + abs(p)):
-                raise RuntimeError("descriptor vectors are not monotone in alpha")
+def _pearson_columns(x: np.ndarray, y: Sequence[float]) -> np.ndarray:
+    """Pearson r of y against every column of x, without the F test.
+
+    mSO is nondecreasing in the exponent, so x must be componentwise sorted
+    along its columns, the ascending grid.  As in fit_linear, a constant
+    column raises DegeneratePredictorError and a constant y gives r = 0.
+    """
+    prev, cur = x[:, :-1], x[:, 1:]
+    if (cur < prev - 1e-9 * (1.0 + np.abs(prev))).any():
+        raise RuntimeError("descriptor vectors are not monotone in alpha")
+    if (x.min(axis=0) == x.max(axis=0)).any():
+        raise DegeneratePredictorError("predictor column is constant")
+    yv = np.asarray(y, dtype=float)
+    if yv.min() == yv.max():
+        return np.zeros(x.shape[1])
+    xc, yc = x - x.mean(axis=0), yv - yv.mean()
+    r = (yc @ xc) / np.sqrt((xc * xc).sum(axis=0) * (yc @ yc))
+    return np.clip(r, -1.0, 1.0)
 
 
 def alpha_scan(
@@ -348,19 +372,15 @@ def alpha_scan(
     if not required.issubset(points):
         raise ValueError("alpha grid must include the 0-limit and both infinities")
 
-    def x_vector(a: Alpha) -> list[float]:
-        return [mean_sombor(rec.graph, a) for rec in recs]
-
     def r_at(a: Alpha) -> float:
-        return fit_linear(x_vector(a), y).r
+        return fit_linear([mean_sombor(rec.graph, a) for rec in recs], y).r
 
-    xs = [x_vector(a) for a in points]
-    _check_monotone_columns(xs)
-    curve = [(a, fit_linear(x, y).r) for a, x in zip(points, xs)]
+    rs = _pearson_columns(descriptor_matrix([rec.graph for rec in recs], points), y)
+    curve = list(zip(points, rs.tolist()))
 
-    finite_curve = [(a, r) for a, r in curve if a.is_finite]
     best_finite, best_finite_r = min(
-        finite_curve, key=lambda ar: (-abs(ar[1]), abs(ar[0].value))
+        ((a, r) for a, r in curve if a.is_finite),
+        key=lambda ar: (-abs(ar[1]), abs(ar[0].value)),
     )
     lo = max(best_finite.value - grid.step, grid.lo)
     hi = min(best_finite.value + grid.step, grid.hi)

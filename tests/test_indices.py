@@ -7,12 +7,15 @@ independent wherever both are representable.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from meansombor import bounds
 from meansombor.graphs import (
     complete_graph,
     default_corpus,
+    enumerate_octane_skeletons,
     random_connected_graphs,
 )
 from meansombor.indices import (
@@ -21,10 +24,13 @@ from meansombor.indices import (
     Alpha,
     ZERO_LIMIT,
     classical_index,
+    descriptor_matrix,
     mean_sombor,
     parse_alpha,
     power_mean,
+    power_mean_grid,
 )
+from meansombor.qspr import AlphaGrid
 
 
 def naive_power_mean(x, y, alpha):
@@ -109,6 +115,55 @@ def test_mean_sombor_matches_naive_oracle():
             assert mean_sombor(named.graph, Alpha.finite(alpha)) == pytest.approx(
                 naive_mean_sombor(named.graph, alpha), rel=1e-12
             )
+
+
+def test_mean_sombor_over_degree_pairs_is_bit_identical_to_edge_sum():
+    sweep = {
+        *bounds.MONOTONICITY_GRID,
+        *bounds.SANDWICH_ALPHAS,
+        *bounds.VARIANCE_ALPHAS,
+        *(
+            Alpha.finite(x)
+            for x in (*bounds.JENSEN_ALPHAS, *bounds.KALPHA_ALPHAS, *bounds.POWERSUM_ALPHAS, 2.0)
+        ),
+    }
+    named = default_corpus() + random_connected_graphs(200, seed=11)
+    for g in (ng.graph for ng in named):
+        deg = g.degrees
+        edge_pairs = [tuple(sorted((deg[u], deg[v]))) for u, v in g.edge_list]
+        assert dict(g.degree_pairs) == Counter(edge_pairs)
+        assert [p for p, _ in g.degree_pairs] == sorted(set(edge_pairs))
+        for a in sweep:
+            per_edge = math.fsum(power_mean(deg[u], deg[v], a) for u, v in g.edge_list)
+            assert mean_sombor(g, a) == per_edge
+
+
+def test_power_mean_grid_matches_scalar_kernel():
+    points = AlphaGrid().points()
+    pairs = [(x, y) for x in range(1, 13) for y in range(x, 13)]
+    grid = power_mean_grid(pairs, points)
+    assert grid.shape == (len(pairs), len(points))
+    for (x, y), row in zip(pairs, grid):
+        for a, v in zip(points, row.tolist()):
+            want = power_mean(x, y, a)
+            if x == y or not a.is_finite:
+                assert v == want
+            else:
+                assert v == pytest.approx(want, rel=1e-13, abs=0.0)
+    # a pair gives the same row in either orientation
+    assert (power_mean_grid([(4, 1)], points) == power_mean_grid([(1, 4)], points)).all()
+    with pytest.raises(ValueError):
+        power_mean_grid([(0, 2)], points)
+
+
+def test_descriptor_matrix_matches_mean_sombor():
+    graphs = [s.graph for s in enumerate_octane_skeletons()] + [complete_graph(5)]
+    points = AlphaGrid(-3, 3, 0.25).points()
+    x = descriptor_matrix(graphs, points)
+    assert x.shape == (len(graphs), len(points))
+    for g, row in zip(graphs, x.tolist()):
+        for a, v in zip(points, row):
+            assert v == pytest.approx(mean_sombor(g, a), rel=1e-13, abs=0.0)
 
 
 def test_regular_graph_value_is_bit_identical_across_alpha():

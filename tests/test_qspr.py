@@ -13,8 +13,16 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from meansombor import qspr
 from meansombor.graphs import NamedGraph, complete_graph, enumerate_octane_skeletons
-from meansombor.indices import ALPHA_MINUS_INF, ALPHA_PLUS_INF, Alpha, ZERO_LIMIT, mean_sombor
+from meansombor.indices import (
+    ALPHA_MINUS_INF,
+    ALPHA_PLUS_INF,
+    Alpha,
+    ZERO_LIMIT,
+    descriptor_matrix,
+    mean_sombor,
+)
 from meansombor.qspr import (
     AlphaGrid,
     DegeneratePredictorError,
@@ -245,6 +253,17 @@ def test_degenerate_predictor_on_regular_only_dataset():
     ds = load_dataset(regs, text)
     with pytest.raises(DegeneratePredictorError):
         qspr_at_alpha(ds, "Z", Alpha.finite(2))
+    with pytest.raises(DegeneratePredictorError):
+        alpha_scan(ds, "Z", AlphaGrid(-1, 1, 0.5))
+
+
+def test_scan_constant_property_gives_zero_curve():
+    text = make_csv([(s.name, "5.0") for s in SKELETONS], ["name", "K"])
+    ds = load_dataset(SKELETONS, text)
+    best, curve = alpha_scan(ds, "K", AlphaGrid(-1, 1, 0.25))
+    assert len(curve) == 11
+    assert all(r == 0.0 for _, r in curve)
+    assert best.r == 0.0 and best.c1 == 0.0 and best.c2 == 5.0
 
 
 def test_alpha_grid_points():
@@ -299,6 +318,24 @@ def test_scan_finds_infinite_optimum():
     best, _ = alpha_scan(ds, "P", AlphaGrid(-2, 2, 0.1))
     assert best.alpha == ALPHA_PLUS_INF
     assert best.r == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_scan_rejects_descriptors_not_monotone_in_alpha(monkeypatch):
+    ds = planted_dataset(Alpha.finite(1))
+    monkeypatch.setattr(qspr, "descriptor_matrix", lambda gs, pts: -descriptor_matrix(gs, pts))
+    with pytest.raises(RuntimeError, match="not monotone in alpha"):
+        alpha_scan(ds, "P", AlphaGrid(-1, 1, 0.5))
+
+
+def test_scan_curve_matches_per_point_fits():
+    ds = planted_dataset(Alpha.finite(-1.5), slope=4.25, intercept=-11.5)
+    points = AlphaGrid().points()
+    _, curve = alpha_scan(ds, "P")
+    assert [a for a, _ in curve] == points
+    y = [4.25 * mean_sombor(s.graph, Alpha.finite(-1.5)) - 11.5 for s in SKELETONS]
+    for a, r in curve:
+        x = [mean_sombor(s.graph, a) for s in SKELETONS]
+        assert r == pytest.approx(fit_linear(x, y).r, rel=0.0, abs=1e-12)
 
 
 def test_scan_deterministic():
