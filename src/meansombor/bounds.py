@@ -330,8 +330,7 @@ def check_ka_powersum_bound(
         lhs, rhs = base, ka
     else:
         lhs, rhs = ka, base
-    deg = g.degrees
-    terms = [deg[u] ** alpha + deg[v] ** alpha for u, v in g.edge_list]
+    terms = [x**alpha + y**alpha for (x, y), _ in g.degree_pairs]
     spread = max(terms) - min(terms)
     predicted = beta in (0.0, 1.0) or spread <= 1e-12 * max(terms)
     return BoundReport(

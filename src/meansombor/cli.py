@@ -28,9 +28,15 @@ from .indices import (
     ALPHA_PLUS_INF,
     Alpha,
     ZERO_LIMIT,
-    classical_index,
+    first_zagreb,
+    inverse_sum_indeg,
+    ka_index,
+    max_edge_sum,
     mean_sombor,
+    min_edge_sum,
     parse_alpha,
+    reciprocal_randic,
+    sombor,
 )
 from .qspr import (
     AlphaGrid,
@@ -74,14 +80,14 @@ def cli() -> None:
 # Table-2 panel: (alpha, label of the equivalent classical expression,
 # evaluator of that expression).
 _TABLE2 = (
-    (ALPHA_MINUS_INF, "SP-min", lambda g: classical_index(g, "sp-min")),
-    (Alpha.finite(-1), "2*ISI", lambda g: 2.0 * classical_index(g, "isi")),
-    (ZERO_LIMIT, "R^-1", lambda g: classical_index(g, "r-1")),
-    (Alpha.finite(0.5), "2^-2*KA1[0.5,2]", lambda g: 0.25 * classical_index(g, "ka1", alpha=0.5, beta=2.0)),
-    (Alpha.finite(1), "M1/2", lambda g: classical_index(g, "m1") / 2.0),
-    (Alpha.finite(2), "2^-1/2*SO", lambda g: 2.0**-0.5 * classical_index(g, "so")),
-    (Alpha.finite(3), "2^-1/3*KA1[3,1/3]", lambda g: 2.0 ** (-1 / 3) * classical_index(g, "ka1", alpha=3.0, beta=1 / 3)),
-    (ALPHA_PLUS_INF, "SP-max", lambda g: classical_index(g, "sp-max")),
+    (ALPHA_MINUS_INF, "SP-min", min_edge_sum),
+    (Alpha.finite(-1), "2*ISI", lambda g: 2.0 * inverse_sum_indeg(g)),
+    (ZERO_LIMIT, "R^-1", reciprocal_randic),
+    (Alpha.finite(0.5), "2^-2*KA1[0.5,2]", lambda g: 0.25 * ka_index(g, 0.5, 2.0)),
+    (Alpha.finite(1), "M1/2", lambda g: first_zagreb(g) / 2.0),
+    (Alpha.finite(2), "2^-1/2*SO", lambda g: 2.0**-0.5 * sombor(g)),
+    (Alpha.finite(3), "2^-1/3*KA1[3,1/3]", lambda g: 2.0 ** (-1 / 3) * ka_index(g, 3.0, 1 / 3)),
+    (ALPHA_PLUS_INF, "SP-max", max_edge_sum),
 )
 
 

@@ -134,13 +134,11 @@ def regularity_class(g: Graph) -> RegularityClass:
     """Classify a graph as Regular, Biregular, or Neither."""
     if not g.edges:
         return RegularityClass(RegularityTag.NEITHER)
-    distinct = sorted(set(g.degrees))
+    distinct = tuple(sorted(set(g.degrees)))
     if len(distinct) == 1:
-        return RegularityClass(RegularityTag.REGULAR, (distinct[0],))
-    if len(distinct) == 2:
-        a, b = distinct
-        if all({g.degrees[u], g.degrees[v]} == {a, b} for u, v in g.edges):
-            return RegularityClass(RegularityTag.BIREGULAR, (a, b))
+        return RegularityClass(RegularityTag.REGULAR, distinct)
+    if len(distinct) == 2 and all(p == distinct for p, _ in g.degree_pairs):
+        return RegularityClass(RegularityTag.BIREGULAR, distinct)
     return RegularityClass(RegularityTag.NEITHER)
 
 
@@ -172,7 +170,7 @@ def all_components_regular(g: Graph) -> bool:
     Equivalent to every edge joining two vertices of equal degree, which is
     the equality condition shared by several of the bound checks.
     """
-    return all(g.degrees[u] == g.degrees[v] for u, v in g.edges)
+    return all(lo == hi for (lo, hi), _ in g.degree_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ maximum (a -> +inf).  Summing PM over the endpoint degrees of every edge
 gives the mean Sombor index; fixing the exponent recovers a family of
 classical degree-based indices (inverse sum indeg, reciprocal Randic,
 first Zagreb, Sombor, the (a,b)-KA family, and the min/max edge sums).
+Every edge sum reads the graph's degree-pair profile through
+:func:`pair_sum`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import chain, repeat
-from typing import Sequence
+from itertools import chain, repeat, starmap
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -182,41 +184,47 @@ def descriptor_matrix(graphs: Sequence[Graph], alphas: Sequence[Alpha]) -> np.nd
     return counts @ power_mean_grid(pairs, alphas)
 
 
-def _edge_degrees(g: Graph) -> list[tuple[int, int]]:
-    deg = g.degrees
-    return [(deg[u], deg[v]) for u, v in g.edge_list]
+def pair_sum(g: Graph, term: Callable[[int, int], float]) -> float:
+    """Edge sum of ``term(d_lo, d_hi)`` over the degree-pair profile.
+
+    The term is evaluated once per distinct pair and repeated by its edge
+    count; fsum rounds that multiset exactly as it rounds the per-edge
+    terms, so for a term symmetric in its arguments the value is
+    bit-identical to the sum over the edge list.  0.0 on an edgeless graph.
+    """
+    if not g.degree_pairs:
+        return 0.0
+    pairs, counts = zip(*g.degree_pairs)
+    return math.fsum(chain.from_iterable(map(repeat, starmap(term, pairs), counts)))
 
 
 def mean_sombor(g: Graph, a: Alpha) -> float:
-    """Sum of the power mean of the endpoint degrees over all edges.
-
-    PM is evaluated once per distinct degree pair; fsum over the terms
-    repeated by their counts rounds the same multiset as a per-edge sum.
-    """
-    return math.fsum(
-        chain.from_iterable(repeat(power_mean(lo, hi, a), c) for (lo, hi), c in g.degree_pairs)
-    )
+    """Sum of the power mean of the endpoint degrees over all edges."""
+    return pair_sum(g, lambda x, y: power_mean(x, y, a))
 
 
 def edge_terms(g: Graph, a: Alpha) -> list[float]:
-    """The per-edge power-mean terms, in the deterministic edge order."""
-    return [power_mean(du, dv, a) for du, dv in _edge_degrees(g)]
+    """The per-edge power-mean terms, in the deterministic edge order
+    (the placement the matrix needs; edge sums go through pair_sum)."""
+    deg = g.degrees
+    return [power_mean(deg[u], deg[v], a) for u, v in g.edge_list]
 
 
 # ---------------------------------------------------------------------------
-# Classical indices (independent edge/vertex sums, not routed through
-# the power mean -- they double as cross-checks of the special cases)
+# Classical indices (edge sums over the same degree-pair profile, but with
+# their own closed-form terms, not routed through the power mean -- they
+# double as cross-checks of the special cases; M1 is a vertex sum)
 # ---------------------------------------------------------------------------
 
 def inverse_sum_indeg(g: Graph) -> float:
     """ISI = sum over edges of d_u d_v / (d_u + d_v)."""
-    return math.fsum(du * dv / (du + dv) for du, dv in _edge_degrees(g))
+    return pair_sum(g, lambda x, y: x * y / (x + y))
 
 
 def reciprocal_randic(g: Graph) -> float:
     """R^{-1} = sum over edges of sqrt(d_u d_v); equals the variable second
     Zagreb index at exponent 1/2."""
-    return math.fsum(math.sqrt(du * dv) for du, dv in _edge_degrees(g))
+    return pair_sum(g, lambda x, y: math.sqrt(x * y))
 
 
 def first_zagreb(g: Graph) -> float:
@@ -232,7 +240,7 @@ def variable_first_zagreb(g: Graph, exponent: float) -> float:
 
 def sombor(g: Graph) -> float:
     """SO = sum over edges of sqrt(d_u^2 + d_v^2)."""
-    return math.fsum(math.hypot(du, dv) for du, dv in _edge_degrees(g))
+    return pair_sum(g, math.hypot)
 
 
 def alpha_sombor(g: Graph, alpha: float) -> float:
@@ -244,24 +252,22 @@ def alpha_sombor(g: Graph, alpha: float) -> float:
 
 def ka_index(g: Graph, alpha: float, beta: float) -> float:
     """First (a,b)-KA index: sum over edges of (d_u^a + d_v^a)^b."""
-    return math.fsum((du**alpha + dv**alpha) ** beta for du, dv in _edge_degrees(g))
+    return pair_sum(g, lambda x, y: (x**alpha + y**alpha) ** beta)
 
 
 def min_edge_sum(g: Graph) -> float:
     """Sum over edges of min(d_u, d_v)."""
-    return float(sum(min(du, dv) for du, dv in _edge_degrees(g)))
+    return pair_sum(g, min)
 
 
 def max_edge_sum(g: Graph) -> float:
     """Sum over edges of max(d_u, d_v)."""
-    return float(sum(max(du, dv) for du, dv in _edge_degrees(g)))
+    return pair_sum(g, max)
 
 
 _PARAMLESS = {
     "isi": inverse_sum_indeg,
     "r-1": reciprocal_randic,
-    "reciprocal-randic": reciprocal_randic,
-    "m2-1/2": reciprocal_randic,
     "m1": first_zagreb,
     "so": sombor,
     "sp-min": min_edge_sum,
@@ -277,9 +283,8 @@ def classical_index(
 ) -> float:
     """Evaluate a named classical index.
 
-    Parameterless names: isi, r-1 (aliases reciprocal-randic, m2-1/2), m1,
-    so, sp-min, sp-max.  'm1-var' and 'so-alpha' need alpha; 'ka1' needs
-    alpha and beta.
+    Parameterless names: isi, r-1, m1, so, sp-min, sp-max.  'm1-var' and
+    'so-alpha' need alpha; 'ka1' needs alpha and beta.
     """
     key = which.strip().lower()
     if key in _PARAMLESS:

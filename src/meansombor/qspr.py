@@ -303,28 +303,62 @@ def qspr_at_alpha(ds: QsprDataset, prop: str, a: Alpha) -> RegressionReport:
     )
 
 
+# Largest number of finite points an AlphaGrid may hold: 50 times the
+# default grid, and far below what exhausts memory when points() builds it.
+MAX_GRID_POINTS = 100_000
+
+
 @dataclass(frozen=True)
 class AlphaGrid:
     """Finite exponent lattice lo..hi in uniform steps, always augmented
-    with the zero-limit and both infinite tags."""
+    with the zero-limit and both infinite tags.
+
+    Lattice points k*step are rounded to 12 decimals, so the step must be
+    at least 1e-12; the grid must hold between 1 and MAX_GRID_POINTS
+    nonzero lattice points.
+    """
 
     lo: float = -10.0
     hi: float = 10.0
     step: float = 0.01
 
     def __post_init__(self) -> None:
+        spec = f"{self.lo:g}:{self.hi:g}:{self.step:g}"
+        if not all(math.isfinite(x) for x in (self.lo, self.hi, self.step)):
+            raise ValueError(f"alpha grid {spec}: lo, hi and step must be finite")
         if self.step <= 0 or self.lo > self.hi:
-            raise ValueError("need step > 0 and lo <= hi")
+            raise ValueError(f"alpha grid {spec}: need step > 0 and lo <= hi")
+        too_many = ValueError(f"alpha grid {spec}: more than {MAX_GRID_POINTS} finite points")
+        try:
+            k_lo, k_hi = self._lattice()
+        except OverflowError:  # lo/step or hi/step overflows a float
+            raise too_many from None
+        count = k_hi - k_lo + 1 - (k_lo <= 0 <= k_hi)
+        if count > MAX_GRID_POINTS:
+            raise too_many
+        if count < 1:
+            raise ValueError(f"alpha grid {spec}: no nonzero lattice point")
+        if self.step < 1e-12:
+            raise ValueError(
+                f"alpha grid {spec}: step below 1e-12 (points are rounded to 12 decimals)"
+            )
+
+    def _lattice(self) -> tuple[int, int]:
+        """First and last k with k*step in [lo, hi]."""
+        return (
+            math.ceil(round(self.lo / self.step, 9)),
+            math.floor(round(self.hi / self.step, 9)),
+        )
 
     def points(self) -> list[Alpha]:
-        k_lo = math.ceil(round(self.lo / self.step, 9))
-        k_hi = math.floor(round(self.hi / self.step, 9))
+        """The grid in ascending order: -inf, negatives, 0-limit,
+        positives, +inf."""
+        k_lo, k_hi = self._lattice()
         finite = [
             Alpha.finite(round(k * self.step, 12)) for k in range(k_lo, k_hi + 1) if k != 0
         ]
-        pts = [ALPHA_MINUS_INF, ZERO_LIMIT, ALPHA_PLUS_INF] + finite
-        pts.sort(key=lambda a: (a.order_key, a.kind))
-        return pts
+        neg = max(0, min(k_hi + 1, 0) - k_lo)  # how many k in [k_lo, k_hi] are < 0
+        return [ALPHA_MINUS_INF, *finite[:neg], ZERO_LIMIT, *finite[neg:], ALPHA_PLUS_INF]
 
 
 def _alpha_at(value: float) -> Alpha:

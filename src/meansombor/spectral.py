@@ -23,7 +23,7 @@ from typing import IO
 import numpy as np
 
 from .graphs import Graph
-from .indices import Alpha, edge_terms, mean_sombor
+from .indices import Alpha, edge_terms, mean_sombor, pair_sum, power_mean
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,11 @@ def trace_of_square_dense(mat: np.ndarray) -> float:
 
 def edge_term_stats(g: Graph, a: Alpha) -> EdgeTermStats:
     """Mean and variance of the multiset of per-edge power-mean terms."""
-    terms = edge_terms(g, a)
-    m = len(terms)
+    m = g.edge_count
     if m == 0:
         raise ValueError("edge statistics are undefined for an edgeless graph")
-    mean = math.fsum(terms) / m
-    sigma2 = math.fsum((t - mean) ** 2 for t in terms) / m
+    mean = mean_sombor(g, a) / m
+    sigma2 = pair_sum(g, lambda x, y: (power_mean(x, y, a) - mean) ** 2) / m
     return EdgeTermStats(m=m, mean=mean, sigma2=sigma2)
 
 

@@ -10,6 +10,7 @@ import pytest
 from meansombor.cli import main
 from meansombor.graphs import canonical_form, enumerate_octane_skeletons, parse_graph
 from meansombor.indices import Alpha, mean_sombor
+from meansombor.qspr import AlphaGrid
 
 
 @pytest.fixture
@@ -229,6 +230,25 @@ def test_oversized_graph_header_is_operational_error(capsys, tmp_path):
     code, _, err = run(capsys, "compute", "--graph", str(big), "--alpha", "2")
     assert code == 1
     assert "line 1" in err and "exceeds the limit" in err
+
+
+def test_bad_alpha_range_is_operational_error(capsys, octane_csv, monkeypatch):
+    def no_points(self):
+        raise AssertionError("a rejected grid must not be built")
+
+    monkeypatch.setattr(AlphaGrid, "points", no_points)
+    for spec, cause in [
+        ("-inf:1:0.1", "must be finite"),
+        ("nan:1:0.1", "must be finite"),
+        ("-1:1:inf", "must be finite"),
+        ("0.001:0.002:0.01", "no nonzero lattice point"),
+        ("-1:1:1e-13", "more than 100000 finite points"),
+    ]:
+        code, _, err = run(
+            capsys, "scan", "--properties", str(octane_csv), "--alpha-range", spec
+        )
+        assert code == 1
+        assert f"alpha grid {spec}" in err and cause in err
 
 
 def test_unknown_subcommand(capsys):

@@ -13,10 +13,20 @@ import pytest
 
 from meansombor import bounds
 from meansombor.graphs import (
+    Graph,
+    RegularityClass,
+    RegularityTag,
+    all_components_regular,
+    complete_bipartite,
     complete_graph,
+    cycle_graph,
     default_corpus,
+    disjoint_union,
     enumerate_octane_skeletons,
+    path_graph,
     random_connected_graphs,
+    regularity_class,
+    star_graph,
 )
 from meansombor.indices import (
     ALPHA_MINUS_INF,
@@ -25,12 +35,19 @@ from meansombor.indices import (
     ZERO_LIMIT,
     classical_index,
     descriptor_matrix,
+    inverse_sum_indeg,
+    ka_index,
+    max_edge_sum,
     mean_sombor,
+    min_edge_sum,
     parse_alpha,
     power_mean,
     power_mean_grid,
+    reciprocal_randic,
+    sombor,
 )
 from meansombor.qspr import AlphaGrid
+from meansombor.spectral import edge_term_stats
 
 
 def naive_power_mean(x, y, alpha):
@@ -117,7 +134,25 @@ def test_mean_sombor_matches_naive_oracle():
             )
 
 
+def _regularity_per_edge(g):
+    """Reference regularity_class: biregular means every edge joins the
+    two distinct degree values."""
+    if not g.edges:
+        return RegularityClass(RegularityTag.NEITHER)
+    distinct = sorted(set(g.degrees))
+    if len(distinct) == 1:
+        return RegularityClass(RegularityTag.REGULAR, (distinct[0],))
+    if len(distinct) == 2 and all(
+        {g.degrees[u], g.degrees[v]} == set(distinct) for u, v in g.edges
+    ):
+        return RegularityClass(RegularityTag.BIREGULAR, tuple(distinct))
+    return RegularityClass(RegularityTag.NEITHER)
+
+
 def test_mean_sombor_over_degree_pairs_is_bit_identical_to_edge_sum():
+    """Every edge sum read through the degree-pair profile equals the fsum
+    of its per-edge terms exactly, and the profile-based structure tests
+    agree with their per-edge definitions."""
     sweep = {
         *bounds.MONOTONICITY_GRID,
         *bounds.SANDWICH_ALPHAS,
@@ -127,8 +162,21 @@ def test_mean_sombor_over_degree_pairs_is_bit_identical_to_edge_sum():
             for x in (*bounds.JENSEN_ALPHAS, *bounds.KALPHA_ALPHAS, *bounds.POWERSUM_ALPHAS, 2.0)
         ),
     }
+    ka_params = [(0.5, 2.0)] + [
+        (a, b) for a in bounds.POWERSUM_ALPHAS for b in bounds.POWERSUM_BETAS
+    ]
     named = default_corpus() + random_connected_graphs(200, seed=11)
-    for g in (ng.graph for ng in named):
+    extra = [
+        disjoint_union(complete_graph(3), cycle_graph(5)),  # regular components
+        disjoint_union(complete_bipartite(2, 3), complete_bipartite(3, 2)),  # biregular
+        disjoint_union(star_graph(3), complete_bipartite(2, 2)),
+        disjoint_union(path_graph(4), complete_graph(4)),
+        disjoint_union(complete_bipartite(2, 3), Graph(1, frozenset())),
+        Graph.from_edges(6, [(0, 1), (1, 2), (2, 0)]),  # triangle + isolated
+        Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]),  # star + isolated
+        Graph(4, frozenset()),
+    ]
+    for g in [ng.graph for ng in named] + extra:
         deg = g.degrees
         edge_pairs = [tuple(sorted((deg[u], deg[v]))) for u, v in g.edge_list]
         assert dict(g.degree_pairs) == Counter(edge_pairs)
@@ -136,6 +184,26 @@ def test_mean_sombor_over_degree_pairs_is_bit_identical_to_edge_sum():
         for a in sweep:
             per_edge = math.fsum(power_mean(deg[u], deg[v], a) for u, v in g.edge_list)
             assert mean_sombor(g, a) == per_edge
+        ends = [(deg[u], deg[v]) for u, v in g.edge_list]
+        assert inverse_sum_indeg(g) == math.fsum(x * y / (x + y) for x, y in ends)
+        assert reciprocal_randic(g) == math.fsum(math.sqrt(x * y) for x, y in ends)
+        assert sombor(g) == math.fsum(math.hypot(x, y) for x, y in ends)
+        for a, b in ka_params:
+            assert ka_index(g, a, b) == math.fsum((x**a + y**a) ** b for x, y in ends)
+        assert min_edge_sum(g) == float(sum(min(x, y) for x, y in ends))
+        assert max_edge_sum(g) == float(sum(max(x, y) for x, y in ends))
+        if ends:
+            for a in bounds.VARIANCE_ALPHAS:
+                terms = [power_mean(x, y, a) for x, y in ends]
+                mean = math.fsum(terms) / len(terms)
+                stats = edge_term_stats(g, a)
+                assert stats.m == len(terms)
+                assert stats.mean == mean
+                assert stats.sigma2 == math.fsum((t - mean) ** 2 for t in terms) / len(terms)
+        assert all_components_regular(g) == all(x == y for x, y in ends)
+        assert regularity_class(g) == _regularity_per_edge(g)
+    tags = {regularity_class(g).tag for g in extra}
+    assert tags == {RegularityTag.REGULAR, RegularityTag.BIREGULAR, RegularityTag.NEITHER}
 
 
 def test_power_mean_grid_matches_scalar_kernel():

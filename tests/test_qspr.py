@@ -8,6 +8,7 @@ import csv
 import io
 import math
 import random
+import re
 
 import pytest
 import scipy.special
@@ -24,6 +25,7 @@ from meansombor.indices import (
     mean_sombor,
 )
 from meansombor.qspr import (
+    MAX_GRID_POINTS,
     AlphaGrid,
     DegeneratePredictorError,
     alpha_scan,
@@ -266,6 +268,16 @@ def test_scan_constant_property_gives_zero_curve():
     assert best.r == 0.0 and best.c1 == 0.0 and best.c2 == 5.0
 
 
+def _sorted_grid(grid):
+    """The grid as built by sorting the tags into the finite lattice."""
+    k_lo = math.ceil(round(grid.lo / grid.step, 9))
+    k_hi = math.floor(round(grid.hi / grid.step, 9))
+    finite = [Alpha.finite(round(k * grid.step, 12)) for k in range(k_lo, k_hi + 1) if k != 0]
+    pts = [ALPHA_MINUS_INF, ZERO_LIMIT, ALPHA_PLUS_INF] + finite
+    pts.sort(key=lambda a: (a.order_key, a.kind))
+    return pts
+
+
 def test_alpha_grid_points():
     grid = AlphaGrid(-1, 1, 0.5)
     pts = grid.points()
@@ -274,6 +286,22 @@ def test_alpha_grid_points():
     finite = [a.value for a in pts if a.is_finite]
     assert finite == [-1.0, -0.5, 0.5, 1.0]  # zero excluded, covered by the tag
     assert [a.order_key for a in pts] == sorted(a.order_key for a in pts)
+    grids = [
+        grid,
+        AlphaGrid(),
+        AlphaGrid(-3, -0.5, 0.25),  # one-sided negative
+        AlphaGrid(0.5, 3, 0.25),  # one-sided positive
+        AlphaGrid(-0.73, 1.19, 0.1),  # off-lattice bounds
+        AlphaGrid(0.05, 0.95, 0.3),
+        AlphaGrid(-2.01, -0.02, 0.7),
+    ]
+    for g in grids:
+        pts = g.points()
+        assert pts == _sorted_grid(g)
+        negatives = sum(a.is_finite and a.value < 0 for a in pts)
+        assert pts[0] == ALPHA_MINUS_INF and pts[-1] == ALPHA_PLUS_INF
+        assert pts.index(ZERO_LIMIT) == negatives + 1
+        assert sum(not a.is_finite for a in pts) == 3
 
 
 def test_alpha_grid_excludes_zero_even_off_lattice():
@@ -281,11 +309,28 @@ def test_alpha_grid_excludes_zero_even_off_lattice():
     assert all(a.value != 0.0 for a in pts if a.is_finite)
 
 
-def test_alpha_grid_validation():
-    with pytest.raises(ValueError):
-        AlphaGrid(1, -1, 0.5)
-    with pytest.raises(ValueError):
-        AlphaGrid(-1, 1, 0.0)
+def test_alpha_grid_validation(monkeypatch):
+    def no_points(self):
+        raise AssertionError("a rejected grid must not be built")
+
+    monkeypatch.setattr(AlphaGrid, "points", no_points)
+    cases = [
+        ((1, -1, 0.5), "lo <= hi"),
+        ((-1, 1, 0.0), "step > 0"),
+        ((-math.inf, 1, 0.1), "must be finite"),
+        ((math.nan, 1, 0.1), "must be finite"),
+        ((-1, 1, math.inf), "must be finite"),
+        ((0.001, 0.002, 0.01), "no nonzero lattice point"),
+        ((-0.5, 0.5, 1.0), "no nonzero lattice point"),
+        ((-1, 1, 1e-13), f"more than {MAX_GRID_POINTS} finite points"),
+        ((-500, 500.01, 0.01), f"more than {MAX_GRID_POINTS} finite points"),
+        ((-1e300, 1e300, 1e-300), f"more than {MAX_GRID_POINTS} finite points"),
+        ((-1e-12, 1e-12, 1e-13), "step below 1e-12"),
+    ]
+    for args, cause in cases:
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            AlphaGrid(*args)
+    AlphaGrid(-500, 500, 0.01)  # exactly MAX_GRID_POINTS finite points
 
 
 def test_scan_requires_tagged_points():
