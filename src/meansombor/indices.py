@@ -116,6 +116,12 @@ def parse_alpha(token: str) -> Alpha:
     return Alpha.finite(x)
 
 
+# Exponents nearer zero evaluate as +-MIN_EXPONENT: a * ln t would be
+# subnormal and lose its digits, while PM_a moves by about a (ln t)^2 / 8
+# relative, far below an ulp.
+MIN_EXPONENT = 1e-300
+
+
 def power_mean(x: float, y: float, a: Alpha) -> float:
     """Power mean of two positive reals at an extended exponent.
 
@@ -123,6 +129,10 @@ def power_mean(x: float, y: float, a: Alpha) -> float:
     ``base * ((1 + t^a)/2)^(1/a)`` with t in (0, 1], which cannot overflow
     however large |a| gets; equal arguments short-circuit to the common
     value so regular graphs evaluate exactly and identically at every a.
+    For |a| < 1 the same form is evaluated as
+    ``base * exp(log1p(expm1(a ln t)/2)/a)``, which stays accurate to a few
+    ulps as a -> 0, where 1 + t^a rounds to 2 and the direct form returns
+    the maximum.
     """
     if x <= 0.0 or y <= 0.0:
         raise ValueError(f"power mean needs positive arguments, got ({x}, {y})")
@@ -135,6 +145,10 @@ def power_mean(x: float, y: float, a: Alpha) -> float:
             base, t = hi, lo / hi
         else:
             base, t = lo, hi / lo
+        if -1.0 < alpha < 1.0:
+            if -MIN_EXPONENT < alpha < MIN_EXPONENT:
+                alpha = math.copysign(MIN_EXPONENT, alpha)
+            return base * math.exp(math.log1p(math.expm1(alpha * math.log(t)) / 2.0) / alpha)
         return base * ((1.0 + t**alpha) / 2.0) ** (1.0 / alpha)
     if a.kind == ZERO:
         return math.sqrt(x * y)
@@ -147,9 +161,10 @@ def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -
     """Power means of positive pairs at many exponents, shape
     (len(pairs), len(alphas)).
 
-    Applies the scalar :func:`power_mean` formula elementwise, equal-pair
-    short-circuit and tags included; numpy's pow can differ from Python's
-    in the last bits, so finite cells agree to rounding, not bit for bit.
+    Applies the scalar :func:`power_mean` formulas elementwise, the |a| < 1
+    branch, equal-pair short-circuit and tags included; numpy's pow can
+    differ from Python's in the last bits, so finite cells agree to
+    rounding, not bit for bit.
     """
     d = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if (d <= 0.0).any():
@@ -161,8 +176,12 @@ def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -
     af = np.array([a.value for a in alphas if a.is_finite])
     base = np.where(af > 0, hi, lo)
     t = np.where(af > 0, lo / hi, hi / lo)
-    pm = base * ((1.0 + t**af) / 2.0) ** (1.0 / af)
-    out[:, fin] = np.where(lo == hi, lo, pm)
+    pm = np.empty_like(t)
+    near = np.abs(af) < 1.0
+    pm[:, ~near] = ((1.0 + t[:, ~near] ** af[~near]) / 2.0) ** (1.0 / af[~near])
+    an = np.copysign(np.maximum(np.abs(af[near]), MIN_EXPONENT), af[near])
+    pm[:, near] = np.exp(np.log1p(np.expm1(an * np.log(t[:, near])) / 2.0) / an)
+    out[:, fin] = np.where(lo == hi, lo, base * pm)
     out[:, kinds == ZERO] = np.sqrt(lo * hi)
     out[:, kinds == MINUS_INF] = lo
     out[:, kinds == PLUS_INF] = hi

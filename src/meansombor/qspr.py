@@ -215,8 +215,10 @@ def load_dataset(graphs: Sequence[NamedGraph], properties_csv: str) -> QsprDatas
     """Join named graphs with a properties CSV.
 
     CSV schema: header ``name,<prop1>,<prop2>,...``; each data row names a
-    supplied graph and gives numeric or empty (= missing) cells.  Unknown
-    molecule names, duplicate names, and non-numeric cells are errors.
+    supplied graph and gives finite numeric or empty (= missing) cells; a
+    short row misses its trailing cells.  Unknown molecule names, duplicate
+    names, non-numeric or non-finite cells and rows longer than the header
+    are errors.
     """
     by_name: dict[str, Graph] = {}
     for ng in graphs:
@@ -246,6 +248,8 @@ def load_dataset(graphs: Sequence[NamedGraph], properties_csv: str) -> QsprDatas
             raise ValueError(f"row {rownum}: unknown molecule name {name!r}")
         if name in values:
             raise ValueError(f"row {rownum}: duplicate molecule name {name!r}")
+        if len(row) > len(header):
+            raise ValueError(f"row {rownum}: {len(row)} cells, header has {len(header)}")
         props: dict[str, float] = {}
         for prop, cell in zip(prop_names, row[1:]):
             cell = cell.strip()
@@ -255,6 +259,8 @@ def load_dataset(graphs: Sequence[NamedGraph], properties_csv: str) -> QsprDatas
                 props[prop] = float(cell)
             except ValueError:
                 raise ValueError(f"row {rownum}: non-numeric cell {cell!r} for {prop}")
+            if not math.isfinite(props[prop]):
+                raise ValueError(f"row {rownum}: non-finite cell {cell!r} for {prop}")
         values[name] = props
 
     records = tuple(
@@ -496,22 +502,28 @@ def write_reports_csv(reports: Sequence[RegressionReport], stream: IO[str]) -> N
         )
 
 
+def _json_number(x: float) -> float | str:
+    """A finite float as itself; inf/nan as the CSV token, which strict
+    JSON parsers accept."""
+    return x if math.isfinite(x) else format(x, ".17g")
+
+
 def reports_to_json(reports: Sequence[RegressionReport]) -> str:
     rows = [
         {
             "property": rep.property,
             "alpha": rep.alpha.token(),
-            "r": rep.r,
-            "c2": rep.c2,
-            "c1": rep.c1,
-            "se": rep.se,
-            "f": rep.f,
-            "sf": rep.sf,
+            "r": _json_number(rep.r),
+            "c2": _json_number(rep.c2),
+            "c1": _json_number(rep.c1),
+            "se": _json_number(rep.se),
+            "f": _json_number(rep.f),
+            "sf": _json_number(rep.sf),
             "n": rep.n,
         }
         for rep in reports
     ]
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def write_curve_csv(curve: Sequence[tuple[Alpha, float]], stream: IO[str]) -> None:

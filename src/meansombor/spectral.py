@@ -4,7 +4,9 @@ identity.
 The matrix carries the per-edge power-mean value on the adjacency support
 and zeros elsewhere.  Because it is symmetric with zero diagonal, the trace
 of its square equals twice the sum of the squared edge entries; combining
-that with the variance of the edge-term sequence recovers the index itself:
+that with the variance of the edge-term sequence recovers the index itself
+(the identity reads that trace off the degree-pair profile; the dense
+matrix serves the ``matrix`` command and the tests' reference route):
 
     mSO = sqrt( (m/2) * tr(M^2) - m^2 * sigma^2 )
 
@@ -76,10 +78,11 @@ def edge_term_stats(g: Graph, a: Alpha) -> EdgeTermStats:
 
 
 def variance_radicand(g: Graph, a: Alpha) -> float:
-    """(m/2) tr(M^2) - m^2 sigma^2, the square of mSO in exact arithmetic."""
+    """(m/2) tr(M^2) - m^2 sigma^2, the square of mSO in exact arithmetic,
+    with tr(M^2) read off the degree-pair profile, not the vertex labels."""
     stats = edge_term_stats(g, a)
     m = stats.m
-    tr = trace_of_square(build_matrix(g, a))
+    tr = 2.0 * pair_sum(g, lambda x, y: power_mean(x, y, a) ** 2)
     return (m / 2.0) * tr - m * m * stats.sigma2
 
 

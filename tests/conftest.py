@@ -25,3 +25,13 @@ def k3():
 @pytest.fixture
 def k13():
     return star_graph(3)
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # fixed examples and no per-example deadline: reproducible on a loaded host
+    settings.register_profile("meansombor", derandomize=True, deadline=None)
+    settings.load_profile("meansombor")

@@ -3,6 +3,7 @@ strictness, and the sweep plumbing."""
 
 import io
 import math
+import random
 
 import pytest
 
@@ -22,12 +23,14 @@ from meansombor.bounds import (
     write_reports_csv,
 )
 from meansombor.graphs import (
+    Graph,
     NamedGraph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     default_corpus,
     disjoint_union,
+    random_connected_graphs,
     star_graph,
 )
 from meansombor.indices import ALPHA_MINUS_INF, ALPHA_PLUS_INF, Alpha, ZERO_LIMIT
@@ -54,6 +57,13 @@ def test_monotonicity_regular_collapses(k3):
 def test_monotonicity_star_limits(k13):
     rep = check_monotonicity(k13, ALPHA_MINUS_INF, ALPHA_PLUS_INF)
     assert rep.lhs == 3.0 and rep.rhs == 9.0 and rep.ok
+
+
+def test_monotonicity_near_zero_exponent(p3):
+    # the kernel used to return the maximum at a = 1e-300, a false failure
+    rep = check_monotonicity(p3, Alpha.finite(1e-300), Alpha.finite(0.5))
+    assert rep.lhs == pytest.approx(2 * math.sqrt(2), rel=1e-15)
+    assert rep.ok
 
 
 def test_monotonicity_rejects_misordered(p3):
@@ -326,6 +336,18 @@ def test_checks_for_graph_names_rows(k13):
         "variance-identity",
     }
     assert all(r.ok for r in rows)
+
+
+def test_checks_for_graph_rows_are_label_invariant():
+    # every check is a function of the degree-pair profile, the vertex count
+    # and connectivity, so relabelling the vertices must not move a bit
+    rng = random.Random(11)
+    for named in default_corpus() + random_connected_graphs(200, seed=11):
+        g = named.graph
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        relabelled = Graph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+        assert checks_for_graph(NamedGraph(named.name, relabelled)) == checks_for_graph(named)
 
 
 def test_run_verification_small_corpus_passes():

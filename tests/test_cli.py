@@ -68,6 +68,15 @@ def test_compute_json(capsys, p3_file, tmp_path):
     assert by_q["mSO[0-limit]"] == pytest.approx(2 * math.sqrt(2), rel=1e-15)
 
 
+def test_compute_near_zero_exponent(capsys, p3_file):
+    # the kernel used to print the maximum, mSO[1e-300] = 4
+    code, out, _ = run(capsys, "compute", "--graph", str(p3_file), "--alpha", "1e-300")
+    assert code == 0
+    quantity, value = out.splitlines()[1].split(",")
+    assert quantity == "mSO[1e-300]"
+    assert float(value) == pytest.approx(2 * math.sqrt(2), rel=1e-15)
+
+
 def test_compute_deterministic(capsys, p3_file):
     _, out1, _ = run(capsys, "compute", "--graph", str(p3_file), "--alpha", "-1")
     _, out2, _ = run(capsys, "compute", "--graph", str(p3_file), "--alpha", "-1")
@@ -164,6 +173,32 @@ def test_scan_deterministic_bytes(capsys, octane_csv, tmp_path):
         assert code == 0
         outs.append(report.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_scan_json_is_strict_on_exact_fit(capsys, octane_csv):
+    def reject_constant(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for argv in (("scan", "--alpha-range", "-2:2:0.5"), ("qspr", "--alpha", "1.5")):
+        code, out, _ = run(
+            capsys, *argv, "--properties", str(octane_csv), "--property", "PropA",
+            "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out, parse_constant=reject_constant)
+        assert rows[0]["f"] == "inf" and rows[0]["sf"] == 0.0
+
+
+def test_scan_rejects_non_finite_cell(capsys, tmp_path):
+    names = [s.name for s in enumerate_octane_skeletons()]
+    props = tmp_path / "props.csv"
+    props.write_text(
+        "name,BP\n" + "".join(f'"{n}",{i}\n' for i, n in enumerate(names[:-1]))
+        + f'"{names[-1]}",nan\n'
+    )
+    code, out, err = run(capsys, "scan", "--properties", str(props), "--property", "BP")
+    assert code == 1 and out == ""
+    assert "row 19: non-finite cell 'nan' for BP" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""Property tests of the power-mean kernel over the extended exponent line.
+
+The oracle is mpmath at 60 digits, and at 700 digits for |a| < 1e-6, where
+(x^a + y^a)/2 differs from 1 only beyond the 60th digit.  Exponents are
+drawn log-uniformly in magnitude over [1e-300, 1e6].
+"""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+mpmath = pytest.importorskip("mpmath")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from meansombor.graphs import default_corpus, random_connected_graphs
+from meansombor.indices import (
+    ALPHA_MINUS_INF,
+    ALPHA_PLUS_INF,
+    Alpha,
+    ZERO_LIMIT,
+    mean_sombor,
+    power_mean,
+    power_mean_grid,
+)
+
+EPS = 2.0**-52
+GRAPHS = [ng.graph for ng in default_corpus() + random_connected_graphs(40, seed=3)]
+
+degrees = st.integers(min_value=1, max_value=4096)
+finite_exponents = st.builds(
+    lambda sign, e: Alpha.finite(sign * 10.0**e),
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=-300.0, max_value=6.0),
+)
+exponents = st.one_of(
+    finite_exponents, st.sampled_from((ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF))
+)
+
+
+def oracle(x: int, y: int, a: float):
+    with mpmath.workdps(700 if abs(a) < 1e-6 else 60):
+        am = mpmath.mpf(a)
+        return ((mpmath.mpf(x) ** am + mpmath.mpf(y) ** am) / 2) ** (1 / am)
+
+
+@given(degrees, degrees, finite_exponents)
+def test_power_mean_accurate_to_a_few_ulps(x, y, a):
+    # the result is base * exp(r) with |r| up to |ln(x/y)|, so exp carries
+    # |ln(x/y)| ulps of r's rounding on top of the kernel's own few ulps
+    got = power_mean(x, y, a)
+    want = oracle(x, y, a.value)
+    assert float(abs(got - want) / want) <= (4.0 + abs(math.log(x / y))) * EPS
+
+
+@given(st.sampled_from(GRAPHS), exponents, exponents)
+def test_mean_sombor_monotone_in_alpha(g, a1, a2):
+    lo, hi = sorted((a1, a2))
+    assert mean_sombor(g, lo) <= mean_sombor(g, hi) * (1.0 + 8.0 * EPS)
+
+
+@given(
+    st.lists(st.tuples(degrees, degrees), min_size=1, max_size=6),
+    st.lists(exponents, min_size=1, max_size=12),
+)
+def test_power_mean_grid_agrees_with_scalar_kernel(pairs, alphas):
+    grid = power_mean_grid(pairs, alphas)
+    for (x, y), row in zip(pairs, grid.tolist()):
+        for a, v in zip(alphas, row):
+            want = power_mean(x, y, a)
+            if x == y or not a.is_finite:
+                assert v == want
+            else:
+                assert abs(v - want) <= 1.1e-14 * want

@@ -6,6 +6,7 @@ the fit itself is cross-checked against closed forms on frozen inputs.
 
 import csv
 import io
+import json
 import math
 import random
 import re
@@ -194,6 +195,22 @@ def test_load_rejects_non_numeric():
     text = make_csv([(SKELETONS[0].name, "abc")], ["name", "A"])
     with pytest.raises(ValueError, match="non-numeric"):
         load_dataset(SKELETONS, text)
+
+
+def test_load_rejects_non_finite_cells():
+    for cell in ("nan", "inf", "-inf", "Infinity", "NaN"):
+        text = make_csv([(SKELETONS[0].name, "1", cell)], ["name", "A", "B"])
+        with pytest.raises(ValueError, match=f"row 2: non-finite cell '{cell}' for B"):
+            load_dataset(SKELETONS, text)
+
+
+def test_load_rejects_rows_longer_than_header():
+    text = make_csv([(SKELETONS[0].name, "1", "2")], ["name", "A"])
+    with pytest.raises(ValueError, match="row 2: 3 cells, header has 2"):
+        load_dataset(SKELETONS, text)
+    # a short row still just misses its trailing cells
+    ds = load_dataset(SKELETONS, make_csv([(SKELETONS[0].name, "1")], ["name", "A", "B"]))
+    assert ds.records[0].properties == {"A": 1.0}
 
 
 def test_load_rejects_bad_header():
@@ -439,6 +456,18 @@ def test_report_writers():
     assert lines[1].startswith("P,0-limit,")
     js = reports_to_json([rep])
     assert '"alpha": "0-limit"' in js and '"n": 18' in js
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_report_json_is_strict_on_exact_fit():
+    ds = planted_dataset(Alpha.finite(2))
+    rep = qspr_at_alpha(ds, "P", Alpha.finite(2))
+    assert rep.f == math.inf
+    rows = json.loads(reports_to_json([rep]), parse_constant=reject_constant)
+    assert rows[0]["f"] == "inf" and rows[0]["sf"] == 0.0 and rows[0]["r"] == rep.r
 
 
 def test_curve_writer_sentinels():
