@@ -42,7 +42,7 @@ from .indices import (
     sombor,
     variable_first_zagreb,
 )
-from .spectral import variance_radicand
+from .spectral import variance_identity
 
 DEFAULT_RANDOM_SEED = 20240803
 
@@ -149,13 +149,15 @@ def check_monotonicity(g: Graph, a1: Alpha, a2: Alpha, graph_id: str = "") -> Bo
 def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
     """The five-term special-value chain
     2 ISI <= R^{-1} <= 2^{-2} KA(1/2,2) <= M1/2 <= 2^{-1/2} SO,
-    each term computed from its own classical edge/vertex sum."""
-    values = [
-        ("chain-2isi-r1", 2.0 * inverse_sum_indeg(g), reciprocal_randic(g)),
-        ("chain-r1-ka", reciprocal_randic(g), 0.25 * ka_index(g, 0.5, 2.0)),
-        ("chain-ka-m1", 0.25 * ka_index(g, 0.5, 2.0), first_zagreb(g) / 2.0),
-        ("chain-m1-so", first_zagreb(g) / 2.0, 2.0**-0.5 * sombor(g)),
+    each term computed once from its own classical edge/vertex sum."""
+    terms = [
+        2.0 * inverse_sum_indeg(g),
+        reciprocal_randic(g),
+        0.25 * ka_index(g, 0.5, 2.0),
+        first_zagreb(g) / 2.0,
+        2.0**-0.5 * sombor(g),
     ]
+    ids = ("chain-2isi-r1", "chain-r1-ka", "chain-ka-m1", "chain-m1-so")
     balanced = all_components_regular(g)
     return [
         BoundReport(
@@ -167,7 +169,7 @@ def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
             equality_predicted=balanced,
             strict_expected=not balanced,
         )
-        for bid, lhs, rhs in values
+        for bid, lhs, rhs in zip(ids, terms, terms[1:])
     ]
 
 
@@ -357,12 +359,13 @@ def check_mso2_m1_m2_bound(g: Graph, graph_id: str = "") -> BoundReport:
 
 
 def _variance_identity_report(g: Graph, a: Alpha, graph_id: str) -> BoundReport:
+    _, mso, radicand = variance_identity(g, a)
     return BoundReport(
         bound_id="variance-identity",
         graph_id=graph_id,
         alpha=a,
-        lhs=mean_sombor(g, a),
-        rhs=math.sqrt(max(variance_radicand(g, a), 0.0)),
+        lhs=mso,
+        rhs=math.sqrt(max(radicand, 0.0)),
         equality_predicted=True,
     )
 

@@ -94,9 +94,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, u: int) -> int:
-        return self.degrees[u]
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         nbr: list[list[int]] = [[] for _ in range(self.vertex_count)]

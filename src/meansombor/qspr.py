@@ -296,17 +296,7 @@ def qspr_at_alpha(ds: QsprDataset, prop: str, a: Alpha) -> RegressionReport:
     x = [mean_sombor(rec.graph, a) for rec in recs]
     y = [rec.properties[prop] for rec in recs]
     fit = fit_linear(x, y)
-    return RegressionReport(
-        property=prop,
-        alpha=a,
-        r=fit.r,
-        c1=fit.c1,
-        c2=fit.c2,
-        se=fit.se,
-        f=fit.f,
-        sf=fit.sf,
-        n=len(x),
-    )
+    return RegressionReport(property=prop, alpha=a, n=len(x), **fit._asdict())
 
 
 # Largest number of finite points an AlphaGrid may hold: 50 times the

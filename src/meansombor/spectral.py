@@ -4,9 +4,10 @@ identity.
 The matrix carries the per-edge power-mean value on the adjacency support
 and zeros elsewhere.  Because it is symmetric with zero diagonal, the trace
 of its square equals twice the sum of the squared edge entries; combining
-that with the variance of the edge-term sequence recovers the index itself
-(the identity reads that trace off the degree-pair profile; the dense
-matrix serves the ``matrix`` command and the tests' reference route):
+that with the variance of the edge-term sequence recovers the index itself.
+:func:`variance_identity` takes mSO, the variance and that trace from one
+power-mean evaluation per distinct degree pair; the dense matrix serves the
+``matrix`` command and the tests' reference route:
 
     mSO = sqrt( (m/2) * tr(M^2) - m^2 * sigma^2 )
 
@@ -25,7 +26,7 @@ from typing import IO
 import numpy as np
 
 from .graphs import Graph
-from .indices import Alpha, edge_terms, mean_sombor, pair_sum, power_mean
+from .indices import Alpha, edge_terms, pair_sum, power_mean
 
 
 @dataclass(frozen=True)
@@ -67,23 +68,24 @@ def trace_of_square_dense(mat: np.ndarray) -> float:
     return float(np.trace(mat @ mat))
 
 
-def edge_term_stats(g: Graph, a: Alpha) -> EdgeTermStats:
-    """Mean and variance of the multiset of per-edge power-mean terms."""
+def variance_identity(g: Graph, a: Alpha) -> tuple[EdgeTermStats, float, float]:
+    """Edge-term statistics, mSO and the radicand (m/2) tr(M^2) - m^2 sigma^2
+    (the square of mSO in exact arithmetic), all from one power-mean
+    evaluation per distinct degree pair, with tr(M^2) = 2 * sum of PM^2."""
     m = g.edge_count
     if m == 0:
         raise ValueError("edge statistics are undefined for an edgeless graph")
-    mean = mean_sombor(g, a) / m
-    sigma2 = pair_sum(g, lambda x, y: (power_mean(x, y, a) - mean) ** 2) / m
-    return EdgeTermStats(m=m, mean=mean, sigma2=sigma2)
+    pm = {p: power_mean(*p, a) for p, _ in g.degree_pairs}
+    mso = pair_sum(g, lambda x, y: pm[x, y])
+    mean = mso / m
+    sigma2 = pair_sum(g, lambda x, y: (pm[x, y] - mean) ** 2) / m
+    tr = 2.0 * pair_sum(g, lambda x, y: pm[x, y] ** 2)
+    return EdgeTermStats(m=m, mean=mean, sigma2=sigma2), mso, (m / 2.0) * tr - m * m * sigma2
 
 
-def variance_radicand(g: Graph, a: Alpha) -> float:
-    """(m/2) tr(M^2) - m^2 sigma^2, the square of mSO in exact arithmetic,
-    with tr(M^2) read off the degree-pair profile, not the vertex labels."""
-    stats = edge_term_stats(g, a)
-    m = stats.m
-    tr = 2.0 * pair_sum(g, lambda x, y: power_mean(x, y, a) ** 2)
-    return (m / 2.0) * tr - m * m * stats.sigma2
+def edge_term_stats(g: Graph, a: Alpha) -> EdgeTermStats:
+    """Mean and variance of the multiset of per-edge power-mean terms."""
+    return variance_identity(g, a)[0]
 
 
 def variance_identity_check(g: Graph, a: Alpha) -> float:
@@ -92,14 +94,13 @@ def variance_identity_check(g: Graph, a: Alpha) -> float:
     A correct implementation keeps |residual| <= 1e-9 * (1 + mSO).  A
     radicand below -1e-9 * scale raises IdentityViolation.
     """
-    radicand = variance_radicand(g, a)
+    _, mso, radicand = variance_identity(g, a)
     scale = 1.0 + abs(radicand)
     if radicand < -1e-9 * scale:
         raise IdentityViolation(
             f"negative radicand {radicand} in the variance identity"
         )
-    value = math.sqrt(max(radicand, 0.0))
-    return mean_sombor(g, a) - value
+    return mso - math.sqrt(max(radicand, 0.0))
 
 
 def write_matrix_csv(mat: np.ndarray, stream: IO[str]) -> None:

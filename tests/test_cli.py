@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meansombor
 from meansombor.cli import main
 from meansombor.graphs import canonical_form, enumerate_octane_skeletons, parse_graph
 from meansombor.indices import Alpha, mean_sombor
@@ -289,3 +293,22 @@ def test_bad_alpha_range_is_operational_error(capsys, octane_csv, monkeypatch):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_cli_imports_only_runtime_dependencies():
+    # the package needs numpy and click alone; networkx, mpmath and
+    # hypothesis are test oracles, and scipy is not used at all
+    code = (
+        "import sys, meansombor, meansombor.cli; "
+        "print(' '.join(m for m in ('scipy', 'networkx', 'mpmath', 'hypothesis') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(meansombor.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == ""

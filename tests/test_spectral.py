@@ -6,19 +6,29 @@ import math
 import numpy as np
 import pytest
 
+from meansombor import bounds, indices, spectral
 from meansombor.graphs import (
     Graph,
     default_corpus,
     random_connected_graphs,
     star_graph,
 )
-from meansombor.indices import ALPHA_MINUS_INF, ALPHA_PLUS_INF, Alpha, ZERO_LIMIT
+from meansombor.indices import (
+    ALPHA_MINUS_INF,
+    ALPHA_PLUS_INF,
+    Alpha,
+    ZERO_LIMIT,
+    mean_sombor,
+    pair_sum,
+    power_mean,
+)
 from meansombor.spectral import (
     EdgeTermStats,
     build_matrix,
     edge_term_stats,
     trace_of_square,
     trace_of_square_dense,
+    variance_identity,
     variance_identity_check,
     write_matrix_csv,
 )
@@ -110,10 +120,43 @@ def test_variance_identity_across_corpus_and_grid():
         g = named.graph
         for a in ALPHA_GRID:
             residual = variance_identity_check(g, a)
-            from meansombor.indices import mean_sombor
-
             assert abs(residual) <= 1e-9 * (1.0 + mean_sombor(g, a))
 
+
+
+def test_variance_identity_matches_separate_edge_sums():
+    # one power-mean pass, bit-identical to summing each quantity on its own
+    for named in default_corpus()[:200] + random_connected_graphs(30, seed=17):
+        g = named.graph
+        m = g.edge_count
+        for a in ALPHA_GRID:
+            stats, mso, radicand = variance_identity(g, a)
+            mean = mean_sombor(g, a) / m
+            sigma2 = pair_sum(g, lambda x, y: (power_mean(x, y, a) - mean) ** 2) / m
+            tr = 2.0 * pair_sum(g, lambda x, y: power_mean(x, y, a) ** 2)
+            assert mso == mean_sombor(g, a)
+            assert stats == EdgeTermStats(m=m, mean=mean, sigma2=sigma2)
+            assert radicand == (m / 2.0) * tr - m * m * sigma2
+
+
+def test_variance_identity_report_evaluates_each_pair_once(monkeypatch):
+    calls = []
+
+    def counting(x, y, a):
+        calls.append((x, y))
+        return power_mean(x, y, a)
+
+    monkeypatch.setattr(indices, "power_mean", counting)
+    monkeypatch.setattr(spectral, "power_mean", counting)
+    # the star K1,6 with one edge between two leaves: pairs (1,6), (2,2), (2,6)
+    g = Graph(7, frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (5, 6)}))
+    pairs = [p for p, _ in g.degree_pairs]
+    assert len(pairs) == 3 < g.edge_count
+    for a in ALPHA_GRID:
+        calls.clear()
+        bounds._variance_identity_report(g, a, "g")
+        assert sorted(calls) == pairs
+    assert not hasattr(spectral, "variance_radicand")
 
 def test_matrix_csv_round_trip(k13):
     mat = build_matrix(k13, Alpha.finite(0.5))
