@@ -116,12 +116,6 @@ def parse_alpha(token: str) -> Alpha:
     return Alpha.finite(x)
 
 
-# Exponents nearer zero evaluate as +-MIN_EXPONENT: a * ln t would be
-# subnormal and lose its digits, while PM_a moves by about a (ln t)^2 / 8
-# relative, far below an ulp.
-MIN_EXPONENT = 1e-300
-
-
 def power_mean(x: float, y: float, a: Alpha) -> float:
     """Power mean of two positive reals at an extended exponent.
 
@@ -129,10 +123,11 @@ def power_mean(x: float, y: float, a: Alpha) -> float:
     ``base * ((1 + t^a)/2)^(1/a)`` with t in (0, 1], which cannot overflow
     however large |a| gets; equal arguments short-circuit to the common
     value so regular graphs evaluate exactly and identically at every a.
-    For |a| < 1 the same form is evaluated as
-    ``base * exp(log1p(expm1(a ln t)/2)/a)``, which stays accurate to a few
-    ulps as a -> 0, where 1 + t^a rounds to 2 and the direct form returns
-    the maximum.
+    For |a| < 1, where 1 + t^a rounds to 2 as a -> 0, it is evaluated as
+    ``sqrt(xy) * exp(log1p(2 sinh(a ln(hi/lo)/4)^2)/a)``, from
+    (x^a + y^a)/2 = (xy)^(a/2) cosh(a ln(x/y)/2): accurate to a few ulps,
+    and the factor on the geometric mean is >= 1 for a > 0 and <= 1 for
+    a < 0, so PM_{-a} <= GM <= PM_a holds exactly (subnormal a gives GM).
     """
     if x <= 0.0 or y <= 0.0:
         raise ValueError(f"power mean needs positive arguments, got ({x}, {y})")
@@ -141,14 +136,13 @@ def power_mean(x: float, y: float, a: Alpha) -> float:
             return float(x)
         alpha = a.value
         hi, lo = (x, y) if x > y else (y, x)
+        if -1.0 < alpha < 1.0:
+            u = math.sinh(alpha * math.log(hi / lo) / 4.0)
+            return math.sqrt(x * y) * math.exp(math.log1p(2.0 * u * u) / alpha)
         if alpha > 0:
             base, t = hi, lo / hi
         else:
             base, t = lo, hi / lo
-        if -1.0 < alpha < 1.0:
-            if -MIN_EXPONENT < alpha < MIN_EXPONENT:
-                alpha = math.copysign(MIN_EXPONENT, alpha)
-            return base * math.exp(math.log1p(math.expm1(alpha * math.log(t)) / 2.0) / alpha)
         return base * ((1.0 + t**alpha) / 2.0) ** (1.0 / alpha)
     if a.kind == ZERO:
         return math.sqrt(x * y)
@@ -178,10 +172,10 @@ def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -
     t = np.where(af > 0, lo / hi, hi / lo)
     pm = np.empty_like(t)
     near = np.abs(af) < 1.0
-    pm[:, ~near] = ((1.0 + t[:, ~near] ** af[~near]) / 2.0) ** (1.0 / af[~near])
-    an = np.copysign(np.maximum(np.abs(af[near]), MIN_EXPONENT), af[near])
-    pm[:, near] = np.exp(np.log1p(np.expm1(an * np.log(t[:, near])) / 2.0) / an)
-    out[:, fin] = np.where(lo == hi, lo, base * pm)
+    pm[:, ~near] = base[:, ~near] * ((1.0 + t[:, ~near] ** af[~near]) / 2.0) ** (1.0 / af[~near])
+    u = np.sinh(af[near] * np.log(hi / lo) / 4.0)
+    pm[:, near] = np.sqrt(lo * hi) * np.exp(np.log1p(2.0 * u * u) / af[near])
+    out[:, fin] = np.where(lo == hi, lo, pm)
     out[:, kinds == ZERO] = np.sqrt(lo * hi)
     out[:, kinds == MINUS_INF] = lo
     out[:, kinds == PLUS_INF] = hi

@@ -116,12 +116,12 @@ def test_power_mean_no_overflow_at_huge_exponents():
 
 def test_power_mean_near_zero_exponent():
     # the direct form rounds 1 + t^a to 2 here and returned the maximum (4.0
-    # at 1e-300, 2.0096 at 1e-14); the expm1/log1p branch keeps a few ulps
+    # at 1e-300, 2.0096 at 1e-14); the cosh-form branch keeps a few ulps
     assert power_mean(1, 4, Alpha.finite(1e-300)) == pytest.approx(2.0, rel=5e-16)
     assert power_mean(1, 4, Alpha.finite(-1e-300)) == pytest.approx(2.0, rel=5e-16)
     exact = 2.0 * (1.0 + 1e-14 * math.log(4.0) ** 2 / 8.0)  # first order in a
     assert power_mean(1, 4, Alpha.finite(1e-14)) == pytest.approx(exact, rel=5e-16)
-    # subnormal exponents evaluate as +-MIN_EXPONENT instead of losing digits
+    # subnormal exponents round to the geometric mean instead of losing digits
     assert power_mean(1, 4, Alpha.finite(5e-324)) == pytest.approx(2.0, rel=5e-16)
 
 

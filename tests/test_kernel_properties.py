@@ -54,6 +54,17 @@ def test_power_mean_accurate_to_a_few_ulps(x, y, a):
     assert float(abs(got - want) / want) <= (4.0 + abs(math.log(x / y))) * EPS
 
 
+@given(degrees, degrees, st.floats(min_value=-323.3, max_value=0.0, exclude_max=True))
+def test_power_mean_brackets_geometric_mean_exactly(x, y, e):
+    # PM_{-a} <= GM <= PM_a with no rounding slack, in both kernels, for
+    # 0 < a < 1 down to the smallest subnormal
+    a = 10.0**e
+    lo, hi = Alpha.finite(-a), Alpha.finite(a)
+    gm = power_mean(x, y, ZERO_LIMIT)
+    assert power_mean(x, y, lo) <= gm <= power_mean(x, y, hi)
+    below, at, above = power_mean_grid([(x, y)], [lo, ZERO_LIMIT, hi])[0]
+    assert below <= at <= above
+
 @given(st.sampled_from(GRAPHS), exponents, exponents)
 def test_mean_sombor_monotone_in_alpha(g, a1, a2):
     lo, hi = sorted((a1, a2))
