@@ -127,15 +127,12 @@ def matrix(graph_path: str, alpha_spec: str, out: str) -> None:
     buf = io.StringIO()
     write_matrix_csv(mat, buf)
     Path(out).write_text(buf.getvalue(), encoding="utf-8")
-    stats = edge_term_stats(g, a) if g.edge_count else None
     click.echo(f"matrix written to {out}")
     click.echo(f"trace_of_square,{format(trace_of_square(mat), '.17g')}")
     click.echo(f"mean_sombor,{format(mean_sombor(g, a), '.17g')}")
-    if stats is not None:
-        click.echo(f"sigma2,{format(stats.sigma2, '.17g')}")
-        click.echo(
-            f"variance_identity_residual,{format(variance_identity_check(g, a), '.17g')}"
-        )
+    if g.edge_count:
+        click.echo(f"sigma2,{format(edge_term_stats(g, a).sigma2, '.17g')}")
+        click.echo(f"variance_identity_residual,{format(variance_identity_check(g, a), '.17g')}")
 
 
 def _slug(name: str) -> str:

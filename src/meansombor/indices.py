@@ -116,6 +116,12 @@ def parse_alpha(token: str) -> Alpha:
     return Alpha.finite(x)
 
 
+def _geometric_mean(x: float, y: float) -> float:
+    """sqrt(xy), factored where the product would leave the normal range."""
+    p = x * y
+    return math.sqrt(p) if 1e-300 < p < 1e300 else math.sqrt(x) * math.sqrt(y)
+
+
 def power_mean(x: float, y: float, a: Alpha) -> float:
     """Power mean of two positive reals at an extended exponent.
 
@@ -138,14 +144,14 @@ def power_mean(x: float, y: float, a: Alpha) -> float:
         hi, lo = (x, y) if x > y else (y, x)
         if -1.0 < alpha < 1.0:
             u = math.sinh(alpha * math.log(hi / lo) / 4.0)
-            return math.sqrt(x * y) * math.exp(math.log1p(2.0 * u * u) / alpha)
+            return _geometric_mean(x, y) * math.exp(math.log1p(2.0 * u * u) / alpha)
         if alpha > 0:
             base, t = hi, lo / hi
         else:
             base, t = lo, hi / lo
         return base * ((1.0 + t**alpha) / 2.0) ** (1.0 / alpha)
     if a.kind == ZERO:
-        return math.sqrt(x * y)
+        return _geometric_mean(x, y)
     if a.kind == MINUS_INF:
         return float(min(x, y))
     return float(max(x, y))
@@ -164,6 +170,7 @@ def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -
     if (d <= 0.0).any():
         raise ValueError("power mean needs positive arguments")
     lo, hi = d.min(axis=1)[:, None], d.max(axis=1)[:, None]
+    gm = np.array([_geometric_mean(x, y) for x, y in d.tolist()])[:, None]
     kinds = np.array([a.kind for a in alphas])
     out = np.empty((len(d), len(alphas)))
     fin = kinds == FINITE
@@ -174,9 +181,9 @@ def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -
     near = np.abs(af) < 1.0
     pm[:, ~near] = base[:, ~near] * ((1.0 + t[:, ~near] ** af[~near]) / 2.0) ** (1.0 / af[~near])
     u = np.sinh(af[near] * np.log(hi / lo) / 4.0)
-    pm[:, near] = np.sqrt(lo * hi) * np.exp(np.log1p(2.0 * u * u) / af[near])
+    pm[:, near] = gm * np.exp(np.log1p(2.0 * u * u) / af[near])
     out[:, fin] = np.where(lo == hi, lo, pm)
-    out[:, kinds == ZERO] = np.sqrt(lo * hi)
+    out[:, kinds == ZERO] = gm
     out[:, kinds == MINUS_INF] = lo
     out[:, kinds == PLUS_INF] = hi
     return out

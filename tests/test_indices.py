@@ -114,6 +114,20 @@ def test_power_mean_no_overflow_at_huge_exponents():
     assert math.isfinite(power_mean(2, 10, Alpha.finite(400)))
 
 
+def test_power_mean_geometric_mean_outside_normal_products():
+    # x * y overflows or underflows here; sqrt(x) sqrt(y) does not
+    for x, y in ((1e200, 1e199), (1e-200, 1e-190)):
+        rx, ry = math.sqrt(x), math.sqrt(y)
+        want = {
+            ZERO_LIMIT: rx * ry,
+            Alpha.finite(0.5): ((rx + ry) / 2.0) ** 2,
+            Alpha.finite(-0.5): ((1.0 / rx + 1.0 / ry) / 2.0) ** -2,
+        }
+        grid = power_mean_grid([(x, y)], list(want))[0]
+        for (a, v), g in zip(want.items(), grid):
+            assert power_mean(x, y, a) == pytest.approx(v, rel=1e-14)
+            assert g == pytest.approx(v, rel=1e-14)
+
 def test_power_mean_near_zero_exponent():
     # the direct form rounds 1 + t^a to 2 here and returned the maximum (4.0
     # at 1e-300, 2.0096 at 1e-14); the cosh-form branch keeps a few ulps
