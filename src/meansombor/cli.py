@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -19,8 +20,10 @@ import click
 from .bounds import DEFAULT_RANDOM_SEED, run_verification, write_reports_csv
 from .graphs import (
     GraphParseError,
+    default_corpus,
     enumerate_octane_skeletons,
     parse_graph,
+    random_connected_graphs,
     to_edge_list_text,
 )
 from .indices import (
@@ -232,11 +235,21 @@ def scan(
 @click.option("--random", "random_count", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_RANDOM_SEED, show_default=True)
 @click.option("--out", type=click.Path(), default="bound_reports.csv", show_default=True)
-def verify(random_count: int, seed: int, out: str) -> None:
+@click.option("--timings", is_flag=True, help="print stage durations to stderr")
+def verify(random_count: int, seed: int, out: str, timings: bool) -> None:
     """Check every proved bound over the corpus; exit 2 on any failure."""
-    reports = run_verification(random_count=random_count, seed=seed)
+    t0 = time.perf_counter()
+    corpus = default_corpus() + random_connected_graphs(random_count, seed)
+    t1 = time.perf_counter()
+    reports = run_verification(corpus=corpus, random_count=0)
+    t2 = time.perf_counter()
     with open(out, "w", encoding="utf-8") as fh:
         write_reports_csv(reports, fh, seed=seed, random_count=random_count)
+    t3 = time.perf_counter()
+    if timings:
+        stages = (("corpus-build", t1 - t0), ("check-sweep", t2 - t1), ("csv-write", t3 - t2))
+        for stage, s in stages:
+            click.echo(f"timing {stage} {s:.6f} s", err=True)
     failures = [r for r in reports if not r.ok]
     click.echo(f"checked {len(reports)} bound instances, {len(failures)} failures")
     if failures:

@@ -134,6 +134,7 @@ def power_mean(x: float, y: float, a: Alpha) -> float:
     (x^a + y^a)/2 = (xy)^(a/2) cosh(a ln(x/y)/2): accurate to a few ulps,
     and the factor on the geometric mean is >= 1 for a > 0 and <= 1 for
     a < 0, so PM_{-a} <= GM <= PM_a holds exactly (subnormal a gives GM).
+    ln(hi/lo) is taken as ln(hi) - ln(lo) only where hi/lo overflows.
     """
     if x <= 0.0 or y <= 0.0:
         raise ValueError(f"power mean needs positive arguments, got ({x}, {y})")
@@ -143,7 +144,9 @@ def power_mean(x: float, y: float, a: Alpha) -> float:
         alpha = a.value
         hi, lo = (x, y) if x > y else (y, x)
         if -1.0 < alpha < 1.0:
-            u = math.sinh(alpha * math.log(hi / lo) / 4.0)
+            r = hi / lo
+            log_ratio = math.log(r) if r < math.inf else math.log(hi) - math.log(lo)
+            u = math.sinh(alpha * log_ratio / 4.0)
             return _geometric_mean(x, y) * math.exp(math.log1p(2.0 * u * u) / alpha)
         if alpha > 0:
             base, t = hi, lo / hi
@@ -175,12 +178,15 @@ def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -
     out = np.empty((len(d), len(alphas)))
     fin = kinds == FINITE
     af = np.array([a.value for a in alphas if a.is_finite])
+    with np.errstate(over="ignore"):
+        ratio = hi / lo
+    log_ratio = np.where(np.isfinite(ratio), np.log(ratio), np.log(hi) - np.log(lo))
     base = np.where(af > 0, hi, lo)
-    t = np.where(af > 0, lo / hi, hi / lo)
+    t = np.where(af > 0, lo / hi, ratio)
     pm = np.empty_like(t)
     near = np.abs(af) < 1.0
     pm[:, ~near] = base[:, ~near] * ((1.0 + t[:, ~near] ** af[~near]) / 2.0) ** (1.0 / af[~near])
-    u = np.sinh(af[near] * np.log(hi / lo) / 4.0)
+    u = np.sinh(af[near] * log_ratio / 4.0)
     pm[:, near] = gm * np.exp(np.log1p(2.0 * u * u) / af[near])
     out[:, fin] = np.where(lo == hi, lo, pm)
     out[:, kinds == ZERO] = gm

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from meansombor import bounds
 from meansombor.bounds import (
     BoundReport,
     check_chain,
@@ -30,6 +31,9 @@ from meansombor.graphs import (
     cycle_graph,
     default_corpus,
     disjoint_union,
+    enumerate_trees,
+    is_connected,
+    path_graph,
     random_connected_graphs,
     star_graph,
 )
@@ -338,16 +342,52 @@ def test_checks_for_graph_names_rows(k13):
     assert all(r.ok for r in rows)
 
 
+def _relabelled(g, rng):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def test_checks_for_graph_rows_are_label_invariant():
     # every check is a function of the degree-pair profile, the vertex count
     # and connectivity, so relabelling the vertices must not move a bit
     rng = random.Random(11)
     for named in default_corpus() + random_connected_graphs(200, seed=11):
-        g = named.graph
-        perm = list(range(g.vertex_count))
-        rng.shuffle(perm)
-        relabelled = Graph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+        relabelled = _relabelled(named.graph, rng)
         assert checks_for_graph(NamedGraph(named.name, relabelled)) == checks_for_graph(named)
+
+
+def test_run_verification_reuses_rows_per_profile_key(monkeypatch):
+    # the sweep runs the battery once per (degree pairs, vertex count,
+    # connected) key and must equal the plain per-graph sweep row for row
+    rng = random.Random(5)
+    trees = [
+        NamedGraph(f"t{n}_{i}", t) for n in range(2, 11) for i, t in enumerate(enumerate_trees(n))
+    ]
+    c6, two_c3 = cycle_graph(6), disjoint_union(complete_graph(3), complete_graph(3))
+    k23 = complete_bipartite(2, 3)
+    collisions = [NamedGraph("C6", c6), NamedGraph("2C3", two_c3), NamedGraph("K2,3", k23)]
+    collisions += [NamedGraph(f"K2,3_relabelled_{i}", _relabelled(k23, rng)) for i in range(3)]
+    assert c6.degree_pairs == two_c3.degree_pairs  # same profile and n, not connectivity
+    for gs in (default_corpus(), trees, collisions):
+        assert run_verification(gs, random_count=0) == [r for n in gs for r in checks_for_graph(n)]
+
+    # G + K1 keeps G's profile, but its isolated vertex must still reach
+    # kalpha's minimum-degree check: after P3 the connected flag tells them
+    # apart, after 2C3 (already disconnected) only the vertex count does
+    for g in (path_graph(3), two_c3):
+        pair = [NamedGraph("G", g), NamedGraph("G+K1", disjoint_union(g, Graph(1, frozenset())))]
+        with pytest.raises(ValueError, match="minimum degree"):
+            checks_for_graph(pair[1])
+        with pytest.raises(ValueError, match="minimum degree"):
+            run_verification(pair, random_count=0)
+
+    calls = []
+    counted = lambda n: calls.append(n) or checks_for_graph(n)  # noqa: E731
+    monkeypatch.setattr(bounds, "checks_for_graph", counted)
+    run_verification(trees, random_count=0)
+    keys = {(n.graph.degree_pairs, n.graph.vertex_count, is_connected(n.graph)) for n in trees}
+    assert len(calls) == len(keys) < len(trees)
 
 
 def test_run_verification_small_corpus_passes():

@@ -223,6 +223,21 @@ def test_verify_passes_and_writes_csv(capsys, tmp_path):
     assert all(line.endswith(",1") for line in lines[2:])  # ok column
 
 
+def test_verify_timings_print_three_stages(capsys, tmp_path):
+    plain_csv, timed_csv = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    args = ("verify", "--random", "10", "--seed", "5", "--out")
+    code, plain_out, plain_err = run(capsys, *args, str(plain_csv))
+    assert code == 0 and plain_err == ""
+    code, out, err = run(capsys, *args, str(timed_csv), "--timings")
+    assert code == 0 and out == plain_out
+    assert timed_csv.read_bytes() == plain_csv.read_bytes()
+    lines = err.splitlines()
+    assert [line.split()[1] for line in lines] == ["corpus-build", "check-sweep", "csv-write"]
+    for line in lines:
+        tag, _, seconds, unit = line.split()
+        assert tag == "timing" and unit == "s" and float(seconds) >= 0.0
+
+
 def test_verify_failure_exits_2(capsys, tmp_path, monkeypatch):
     # a failing bound can only come from a broken implementation, so fake
     # one report to exercise the exit-code contract

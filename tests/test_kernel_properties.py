@@ -6,6 +6,7 @@ drawn log-uniformly in magnitude over [1e-300, 1e6].
 """
 
 import math
+import warnings
 
 import pytest
 
@@ -52,6 +53,21 @@ def test_power_mean_accurate_to_a_few_ulps(x, y, a):
     got = power_mean(x, y, a)
     want = oracle(x, y, a.value)
     assert float(abs(got - want) / want) <= (4.0 + abs(math.log(x / y))) * EPS
+
+
+def test_power_mean_when_the_argument_ratio_overflows():
+    # hi/lo is inf here; the |a| < 1 branch used to return inf at a = 0.5
+    # and 0.0 at a = -0.5, and the grid warned of overflow in the divide
+    x, y = 1e300, 1e-300
+    alphas = [Alpha.finite(a) for a in (0.5, -0.5, 0.999, -0.999, 2.0, -2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = power_mean_grid([(x, y)], alphas)[0]
+    budget = (4.0 + math.log(x) - math.log(y)) * EPS
+    for a, cell in zip(alphas, grid.tolist()):
+        want = oracle(x, y, a.value)
+        for got in (power_mean(x, y, a), cell):
+            assert float(abs(got - want) / want) <= budget, (a, got)
 
 
 @given(degrees, degrees, st.floats(min_value=-323.3, max_value=0.0, exclude_max=True))
