@@ -63,6 +63,7 @@ from .qspr import (
     load_dataset,
     qspr_at_alpha,
     regularized_incomplete_beta,
+    scan_properties,
 )
 from .spectral import (
     EdgeTermStats,

@@ -44,10 +44,10 @@ from .indices import (
 from .qspr import (
     AlphaGrid,
     RegressionReport,
-    alpha_scan,
     load_dataset,
     qspr_at_alpha,
     reports_to_json,
+    scan_properties,
     write_curve_csv,
     write_reports_csv as write_qspr_csv,
 )
@@ -218,17 +218,15 @@ def scan(
     ds = _load_octane_dataset(properties_path)
     grid = _parse_range(range_spec) if range_spec else AlphaGrid()
     props = [prop] if prop else ds.usable_properties()
-    reports = []
-    for p in props:
-        best, curve = alpha_scan(ds, p, grid)
-        reports.append(best)
-        if curve_dir:
-            d = Path(curve_dir)
-            d.mkdir(parents=True, exist_ok=True)
+    scans = scan_properties(ds, props, grid)
+    if curve_dir:
+        d = Path(curve_dir)
+        d.mkdir(parents=True, exist_ok=True)
+        for p, (_, curve) in zip(props, scans):
             buf = io.StringIO()
             write_curve_csv(curve, buf)
             (d / f"curve-{_slug(p)}.csv").write_text(buf.getvalue(), encoding="utf-8")
-    _write_qspr_reports(reports, fmt, out)
+    _write_qspr_reports([best for best, _ in scans], fmt, out)
 
 
 @cli.command()

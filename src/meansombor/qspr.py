@@ -3,10 +3,12 @@ one-descriptor linear model, and scan the power-mean exponent for the best
 Pearson correlation.
 
 The model is ``property ~ c1 * mSO_a(G) + c2`` per property.  The scan's
-grid curve is Pearson's r of every grid column at once: the descriptor
-matrix comes from the degree-pair kernel ``indices.descriptor_matrix``
-and agrees with per-point fits to about 1e-14.  Refinement, candidate
-scoring and the reported row use the scalar path.  For each reported
+grid curve is Pearson's r of every grid column at once.  The descriptor
+matrix (``indices.descriptor_matrix``, the scalar kernel once per
+distinct degree pair and exponent) is built once per command over all
+records, and each property reads its records' rows; the curve agrees
+with per-point fits to matmul rounding.  Refinement, candidate scoring
+and the reported row use the scalar path.  For each reported
 exponent the pipeline gives Pearson's r, the slope/intercept,
 the standard error of estimate, the F statistic ``r^2 (n-2) / (1-r^2)`` and
 its upper-tail significance under F(1, n-2).  The significance is computed
@@ -381,32 +383,44 @@ def _pearson_columns(x: np.ndarray, y: Sequence[float]) -> np.ndarray:
     return np.clip(r, -1.0, 1.0)
 
 
-def alpha_scan(
-    ds: QsprDataset,
-    prop: str,
-    grid: AlphaGrid | None = None,
-) -> tuple[RegressionReport, list[tuple[Alpha, float]]]:
-    """Find the exponent maximizing |r| for one property.
+def scan_properties(
+    ds: QsprDataset, props: Sequence[str], grid: AlphaGrid | None = None
+) -> list[tuple[RegressionReport, list[tuple[Alpha, float]]]]:
+    """Find the exponent maximizing |r| for each property.
 
-    Evaluates the grid (tags included), refines around the best finite
-    point with a golden-section search to bracket width 1e-3, then picks
-    the best of {refined finite, 0-limit, -inf, +inf}.  Ties prefer the
-    smaller |alpha| and then the 0-limit.  Returns the winning report and
-    the (alpha, r) curve over the grid.
+    Builds the grid and the descriptor matrix over all records once; a
+    property's grid curve is Pearson's r over the rows of its records.
+    Refines around the best finite grid point with a golden-section search
+    to bracket width 1e-3, then picks the best of {refined finite, 0-limit,
+    -inf, +inf}; ties prefer the smaller |alpha| and then the 0-limit.
+    Returns the winning report and the (alpha, r) grid curve per property.
     """
+    columns = [ds.column(p) for p in props]
     grid = grid or AlphaGrid()
-    recs = ds.column(prop)
-    y = [rec.properties[prop] for rec in recs]
     points = grid.points()
     required = {ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF}
     if not required.issubset(points):
         raise ValueError("alpha grid must include the 0-limit and both infinities")
+    x_all = descriptor_matrix([rec.graph for rec in ds.records], points)
+    scans = []
+    for prop, recs in zip(props, columns):
+        rows = [i for i, rec in enumerate(ds.records) if prop in rec.properties]
+        y = [rec.properties[prop] for rec in recs]
+        curve = list(zip(points, _pearson_columns(x_all[rows], y).tolist()))
+        scans.append((qspr_at_alpha(ds, prop, _best_alpha(recs, y, curve, grid)), curve))
+    return scans
 
+
+def alpha_scan(
+    ds: QsprDataset, prop: str, grid: AlphaGrid | None = None
+) -> tuple[RegressionReport, list[tuple[Alpha, float]]]:
+    """:func:`scan_properties` for one property."""
+    return scan_properties(ds, [prop], grid)[0]
+
+
+def _best_alpha(recs: list[QsprRecord], y: list[float], curve: list, grid: AlphaGrid) -> Alpha:
     def r_at(a: Alpha) -> float:
         return fit_linear([mean_sombor(rec.graph, a) for rec in recs], y).r
-
-    rs = _pearson_columns(descriptor_matrix([rec.graph for rec in recs], points), y)
-    curve = list(zip(points, rs.tolist()))
 
     best_finite, best_finite_r = min(
         ((a, r) for a, r in curve if a.is_finite),
@@ -421,19 +435,9 @@ def alpha_scan(
         tol=1e-3,
         seed=(best_finite.value, abs(best_finite_r)),
     )
-    refined_alpha = _alpha_at(refined)
-    candidates = [refined_alpha, ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
+    candidates = [_alpha_at(refined), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
     tag_rank = {"zero-limit": 0, "finite": 1, "-inf": 2, "+inf": 3}
-    scored = [(a, r_at(a)) for a in candidates]
-    best_alpha, _ = min(
-        scored,
-        key=lambda ar: (
-            -abs(ar[1]),
-            abs(ar[0].order_key),
-            tag_rank[ar[0].kind],
-        ),
-    )
-    return qspr_at_alpha(ds, prop, best_alpha), curve
+    return min(candidates, key=lambda a: (-abs(r_at(a)), abs(a.order_key), tag_rank[a.kind]))
 
 
 def _golden_section_max(

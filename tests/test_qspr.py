@@ -16,6 +16,7 @@ import scipy.special
 import scipy.stats
 
 from meansombor import qspr
+from meansombor.cli import main
 from meansombor.graphs import NamedGraph, complete_graph, enumerate_octane_skeletons
 from meansombor.indices import (
     ALPHA_MINUS_INF,
@@ -406,6 +407,59 @@ def test_scan_deterministic():
     b2, c2 = alpha_scan(ds, "P", AlphaGrid(-2, 2, 0.1))
     assert b1 == b2
     assert c1 == c2  # bit-exact reproducibility
+
+
+def three_property_csv():
+    """Octane table with a planted law per column and missing cells in B
+    and C, so the three properties fit different record subsets."""
+    rows = []
+    for i, s in enumerate(SKELETONS):
+        a = 10.0 * mean_sombor(s.graph, Alpha.finite(0.5)) + 7.0
+        b = -2.0 * mean_sombor(s.graph, ZERO_LIMIT) + 40.0 + 0.01 * (i % 3)
+        c = 0.3 * mean_sombor(s.graph, Alpha.finite(-1.3)) + math.sin(i)
+        rows.append((s.name, repr(a), "" if i in (2, 9) else repr(b), "" if i == 5 else repr(c)))
+    return make_csv(rows, ["name", "A", "B", "C"])
+
+
+def test_scan_properties_matches_per_property_scans():
+    ds = load_dataset(SKELETONS, three_property_csv())
+    props = ["A", "B", "C"]
+    assert [ds.count(p) for p in props] == [18, 16, 17]
+    scans = qspr.scan_properties(ds, props)
+    assert scans == [alpha_scan(ds, p) for p in props]  # reports and curves, bit for bit
+    # each curve reads the rows of its own records out of the shared matrix
+    for p, (_, curve) in zip(props, scans):
+        recs = ds.column(p)
+        y = [rec.properties[p] for rec in recs]
+        for a, r in curve[::50] + curve[-1:]:
+            x = [mean_sombor(rec.graph, a) for rec in recs]
+            assert r == pytest.approx(fit_linear(x, y).r, rel=0.0, abs=1e-12)
+
+
+def test_scan_command_builds_grid_and_matrix_once(capsys, monkeypatch, tmp_path):
+    table = tmp_path / "props.csv"
+    table.write_text(three_property_csv(), encoding="utf-8")
+    calls = {"descriptor_matrix": 0, "points": 0}
+    real_matrix, real_points = qspr.descriptor_matrix, AlphaGrid.points
+
+    def counted_matrix(graphs, alphas):
+        calls["descriptor_matrix"] += 1
+        return real_matrix(graphs, alphas)
+
+    def counted_points(self):
+        calls["points"] += 1
+        return real_points(self)
+
+    monkeypatch.setattr(qspr, "descriptor_matrix", counted_matrix)
+    monkeypatch.setattr(AlphaGrid, "points", counted_points)
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--properties", str(table), "--alpha-range", "-2:2:0.1", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == {"descriptor_matrix": 1, "points": 1}
+    assert [row[0] for row in csv.reader(io.StringIO(out.read_text()))] == ["property", "A", "B", "C"]
+
+    assert main(["scan", "--properties", str(table), "--property", "D"]) == 1
+    assert "missing or has fewer than 3 values" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
