@@ -68,6 +68,12 @@ def _read_graph(path: str):
     return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
+def _echo_timings(*stages: tuple[str, float]) -> None:
+    """One `timing <stage> <seconds> s` line per stage, on stderr."""
+    for stage, seconds in stages:
+        click.echo(f"timing {stage} {seconds:.6f} s", err=True)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -206,6 +212,7 @@ def _parse_range(spec: str) -> AlphaGrid:
 @click.option("--curve-out", "curve_dir", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
+@click.option("--timings", is_flag=True, help="print stage durations to stderr")
 def scan(
     properties_path: str,
     prop: str | None,
@@ -213,12 +220,16 @@ def scan(
     curve_dir: str | None,
     fmt: str,
     out: str | None,
+    timings: bool,
 ) -> None:
     """Scan the exponent for the best |r| per property."""
+    t0 = time.perf_counter()
     ds = _load_octane_dataset(properties_path)
+    t1 = time.perf_counter()
     grid = _parse_range(range_spec) if range_spec else AlphaGrid()
     props = [prop] if prop else ds.usable_properties()
     scans = scan_properties(ds, props, grid)
+    t2 = time.perf_counter()
     if curve_dir:
         d = Path(curve_dir)
         d.mkdir(parents=True, exist_ok=True)
@@ -226,7 +237,14 @@ def scan(
             buf = io.StringIO()
             write_curve_csv(curve, buf)
             (d / f"curve-{_slug(p)}.csv").write_text(buf.getvalue(), encoding="utf-8")
+    t3 = time.perf_counter()
     _write_qspr_reports([best for best, _ in scans], fmt, out)
+    t4 = time.perf_counter()
+    if timings:
+        _echo_timings(
+            ("dataset-load", t1 - t0), ("scan", t2 - t1),
+            ("curve-write", t3 - t2), ("report-write", t4 - t3),
+        )
 
 
 @cli.command()
@@ -245,9 +263,7 @@ def verify(random_count: int, seed: int, out: str, timings: bool) -> None:
         write_reports_csv(reports, fh, seed=seed, random_count=random_count)
     t3 = time.perf_counter()
     if timings:
-        stages = (("corpus-build", t1 - t0), ("check-sweep", t2 - t1), ("csv-write", t3 - t2))
-        for stage, s in stages:
-            click.echo(f"timing {stage} {s:.6f} s", err=True)
+        _echo_timings(("corpus-build", t1 - t0), ("check-sweep", t2 - t1), ("csv-write", t3 - t2))
     failures = [r for r in reports if not r.ok]
     click.echo(f"checked {len(reports)} bound instances, {len(failures)} failures")
     if failures:

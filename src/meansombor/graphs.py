@@ -3,19 +3,26 @@
 Everything downstream (index evaluation, inequality checks, QSPR) works on
 the immutable :class:`Graph` container defined here.  The module also owns
 the generation side: standard families (paths, cycles, stars, complete and
-complete bipartite graphs), seeded random connected graphs, and the
-enumeration of the 18 octane carbon skeletons (trees on 8 vertices with
+complete bipartite graphs), seeded random connected graphs, the free trees
+of each order, and the 18 octane carbon skeletons (trees on 8 vertices with
 maximum degree 4).
+
+Free trees come from the Wright-Richmond-Odlyzko-McKay generator, which
+makes each isomorphism class once, each step in constant amortised time.
+Each tree's canonical form (its centroid-rooted level sequence) is computed
+once; the trees are sorted on it and relabelled by it, so the order and
+the vertex labels depend only on the isomorphism classes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 # Largest vertex count parse_graph accepts; keeps a dense n x n float
@@ -348,27 +355,143 @@ def canonical_form(g: Graph) -> str:
     return ".".join(str(d) for d in _code_to_levels(best))
 
 
-def _attach_leaf(g: Graph, v: int) -> Graph:
-    edges = list(g.edge_list) + [(v, g.vertex_count)]
-    return Graph.from_edges(g.vertex_count + 1, edges)
+def _free_trees(n: int) -> Iterator[list[tuple[int, int]]]:
+    """Edge lists of the free trees on n vertices, each tree once, by the
+    constant-time generator of Wright, Richmond, Odlyzko and McKay,
+    "Constant time generation of free trees", SIAM J. Comput. 15 (1986).
+
+    A tree is held as the level sequence L of its rooting at the centre
+    (root at level 1, 1-based positions) with parents W.  Each step is the
+    Beyer-Hedetniemi rooted-tree successor -- L[p:] becomes repeated copies
+    of the block that starts at q -- taken from the position the free-tree
+    conditions allow, so no sequence is built twice and no isomorphism test
+    is run.  The bookkeeping that makes each step constant amortised time:
+    r ends the root's first subtree, h1 and h2 are where the first and
+    second subtrees first reach their height, and c (n + 1 and infinity are
+    markers) is where the vertices after the first subtree stop repeating
+    it one level up, which picks one of the two rootings of a tree with two
+    centres.  Building each yielded edge list takes O(n).
+    """
+    inf = math.inf
+    L = [0] * (n + 2)
+    W = [0] * (n + 2)
+    # first tree: the path, rooted at its centre
+    k = n // 2 + 1
+    for i in range(1, n + 1):
+        L[i] = i if i <= k else i - k + 1
+        W[i] = i - 1
+    if n > k:
+        W[k + 1] = 1
+    p = 3 if n == 4 else n
+    q = 0 if n <= 3 else n - 1
+    h1, h2, r = k, n, k
+    c = inf if n % 2 else n + 1
+    while True:
+        yield [(W[i] - 1, i - 1) for i in range(2, n + 1)]
+        if q == 0:  # the next successor would move the root: done
+            return
+        fixit = False
+        if c == n + 1 or (
+            p == h2
+            and (
+                (L[h1] == L[h2] + 1 and n - h2 > r - h1)
+                or (L[h1] == L[h2] and n - h2 + 1 < r - h1)
+            )
+        ):
+            if L[r] > 3:
+                p, q = r, W[r]
+                if h1 == r:
+                    h1 -= 1
+                fixit = True
+            else:
+                p, r, q = r, r - 1, 2
+        needr = needc = needh2 = False
+        if p <= h1:
+            h1 = p - 1
+        if p <= r:
+            needr = True
+        elif p <= h2:
+            needh2 = True
+        elif L[h2] == L[h1] - 1 and n - h2 == r - h1:
+            needc = p <= c
+        else:
+            c = inf
+        oldp, delta, oldLq, oldWq = p, q - p, L[q], W[q]
+        p = inf
+        for i in range(oldp, n + 1):
+            L[i] = L[i + delta]
+            if L[i] == 2:
+                W[i] = 1
+            else:
+                p = i
+                q = oldWq if L[i] == oldLq else W[i + delta] - delta
+                W[i] = q
+            if needr and L[i] == 2:
+                needr, needh2, r = False, True, i - 1
+            if needh2 and L[i] <= L[i - 1] and i > r + 1:
+                needh2, h2 = False, i - 1
+                if L[h2] == L[h1] - 1 and n - h2 == r - h1:
+                    needc = True
+                else:
+                    c = inf
+            if needc:
+                if L[i] != L[h1 - h2 + i] - 1:
+                    needc, c = False, i
+                else:
+                    c = i + 1
+        if fixit:
+            # the second subtree restarts as a path as high as the first
+            r = n - h1 + 1
+            for i in range(r + 1, n + 1):
+                L[i] = i - r + 1
+                W[i] = i - 1
+            W[r + 1] = 1
+            h2, p, q, c = n, n, n - 1, inf
+        else:
+            if p == inf:
+                p = oldp - 1 if L[oldp - 1] != 2 else oldp - 2
+                q = W[p]
+            if needh2:
+                h2 = n
+                c = n + 1 if L[h2] == L[h1] - 1 and h1 == r else inf
+
+
+def _tree_from_levels(levels: list[int]) -> Graph:
+    """The tree of a level sequence: vertex i sits at depth levels[i] and
+    hangs from the nearest earlier vertex one level up."""
+    last: dict[int, int] = {}
+    edges = []
+    for v, d in enumerate(levels):
+        if d:
+            edges.append((last[d - 1], v))
+        last[d] = v
+    return Graph(len(levels), frozenset(edges))
+
+
+def _canonical_trees(n: int) -> list[tuple[str, Graph]]:
+    """(canonical form, tree) for every free tree on n vertices, sorted by
+    canonical form, each tree labelled by its canonical level sequence."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out = []
+    for edges in _free_trees(n):
+        c = canonical_form(Graph(n, frozenset(edges)))
+        out.append((c, _tree_from_levels([int(d) for d in c.split(".")])))
+    out.sort(key=lambda ct: ct[0])
+    return out
 
 
 def enumerate_trees(n: int) -> list[Graph]:
-    """All pairwise non-isomorphic trees on n vertices, by leaf growth with
-    canonical-form deduplication, sorted by canonical form."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    level: dict[str, Graph] = {"0": Graph(1, frozenset())}
-    for _ in range(n - 1):
-        grown: dict[str, Graph] = {}
-        for t in level.values():
-            for v in range(t.vertex_count):
-                t2 = _attach_leaf(t, v)
-                c = canonical_form(t2)
-                if c not in grown:
-                    grown[c] = t2
-        level = grown
-    return [level[c] for c in sorted(level)]
+    """All pairwise non-isomorphic trees on n vertices, sorted by canonical
+    form.
+
+    The trees come from the Wright-Richmond-Odlyzko-McKay free-tree
+    generator, one per isomorphism class.  Each is relabelled by its
+    canonical form: vertex i is entry i of the centroid-rooted level
+    sequence, and its parent is the nearest earlier vertex one level up,
+    so the labels depend only on the isomorphism class.
+    """
+    return [t for _, t in _canonical_trees(n)]
 
 
 class NamedGraph(NamedTuple):
@@ -432,9 +555,8 @@ def enumerate_octane_skeletons() -> list[NamedGraph]:
     in canonical order, labeled with standard isomer names."""
     names = octane_names_by_canonical()
     out: list[NamedGraph] = []
-    for t in enumerate_trees(8):
+    for c, t in _canonical_trees(8):
         if max(t.degrees) <= 4:
-            c = canonical_form(t)
             out.append(NamedGraph(names[c], t, c))
     if len(out) != 18:
         raise RuntimeError(f"expected 18 octane skeletons, got {len(out)}")
@@ -451,8 +573,8 @@ def default_corpus() -> list[NamedGraph]:
     (a,b<=4), and paths/cycles/stars up to 10 vertices."""
     out: list[NamedGraph] = list(enumerate_octane_skeletons())
     for n in range(2, 8):
-        for i, t in enumerate(enumerate_trees(n)):
-            out.append(NamedGraph(f"tree{n}_{i:02d}", t, canonical_form(t)))
+        for i, (c, t) in enumerate(_canonical_trees(n)):
+            out.append(NamedGraph(f"tree{n}_{i:02d}", t, c))
     for n in range(2, 7):
         out.append(NamedGraph(f"K{n}", complete_graph(n)))
     for a in range(1, 5):

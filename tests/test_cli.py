@@ -238,6 +238,29 @@ def test_verify_timings_print_three_stages(capsys, tmp_path):
         assert tag == "timing" and unit == "s" and float(seconds) >= 0.0
 
 
+def test_scan_timings_print_four_stages(capsys, octane_csv, tmp_path):
+    def scan_into(name, *extra):
+        d = tmp_path / name
+        code, out, err = run(
+            capsys, "scan", "--properties", str(octane_csv), "--alpha-range", "-1:1:0.1",
+            "--curve-out", str(d / "curves"), "--out", str(d / "scan.csv"), *extra,
+        )
+        assert code == 0 and out == ""
+        files = sorted(d.rglob("*.csv"))
+        return err, [f.relative_to(d) for f in files], [f.read_bytes() for f in files]
+
+    plain_err, plain_names, plain_bytes = scan_into("plain")
+    assert plain_err == "" and len(plain_names) == 3
+    err, names, timed_bytes = scan_into("timed", "--timings")
+    assert names == plain_names and timed_bytes == plain_bytes
+    lines = err.splitlines()
+    stages = [line.split()[1] for line in lines]
+    assert stages == ["dataset-load", "scan", "curve-write", "report-write"]
+    for line in lines:
+        tag, _, seconds, unit = line.split()
+        assert tag == "timing" and unit == "s" and float(seconds) >= 0.0
+
+
 def test_verify_failure_exits_2(capsys, tmp_path, monkeypatch):
     # a failing bound can only come from a broken implementation, so fake
     # one report to exercise the exit-code contract

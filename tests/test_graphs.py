@@ -1,8 +1,9 @@
 """Graph container, parsing, structure queries, and tree enumeration.
 
-The enumeration is checked against two independent oracles: networkx's
-free-tree generator (a different algorithm entirely) and a brute-force
-Prufer-sequence sweep over all labeled trees.
+The enumeration is checked against OEIS counts and two oracles:
+networkx's implementation of the same free-tree generator (its code, not
+ours, and used only here) and a brute-force Prufer-sequence sweep over all
+labeled trees.
 """
 
 import heapq
@@ -204,14 +205,65 @@ def test_canonical_form_rejects_non_trees(k3):
         canonical_form(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
-def test_tree_counts_match_known_sequence():
-    # number of free trees on n vertices (OEIS A000055)
-    for n, expect in [(1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23)]:
-        assert len(enumerate_trees(n)) == expect
+# Free trees on n = 1..14 vertices (OEIS A000055), and those with maximum
+# degree <= 4 (OEIS A000602).
+A000055 = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159)
+A000602 = (1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355, 802, 1858)
+
+
+@pytest.fixture(scope="module")
+def trees_by_order():
+    return {n: enumerate_trees(n) for n in range(1, 15)}
+
+
+def test_tree_counts_match_known_sequence(trees_by_order):
+    assert [len(trees_by_order[n]) for n in range(1, 15)] == list(A000055)
+
+
+def test_chemical_tree_counts_match_known_sequence(trees_by_order):
+    counts = [sum(max(t.degrees) <= 4 for t in trees_by_order[n]) for n in range(1, 15)]
+    assert counts == list(A000602)
+
+
+def test_trees_strictly_increase_in_canonical_form(trees_by_order):
+    for trees in trees_by_order.values():
+        forms = [canonical_form(t) for t in trees]
+        assert all(a < b for a, b in zip(forms, forms[1:]))
+
+
+def _tree_of_level_sequence(levels):
+    """Vertex i at depth levels[i], joined to the nearest earlier vertex
+    one level up."""
+    edges = []
+    for v in range(1, len(levels)):
+        u = max(w for w in range(v) if levels[w] == levels[v] - 1)
+        edges.append((u, v))
+    return Graph.from_edges(len(levels), edges)
+
+
+def test_trees_are_labelled_by_their_canonical_level_sequence(trees_by_order):
+    for trees in trees_by_order.values():
+        for t in trees:
+            levels = [int(d) for d in canonical_form(t).split(".")]
+            assert t == _tree_of_level_sequence(levels)
+
+
+def test_canonical_forms_match_networkx_generator(trees_by_order):
+    for n in range(2, 13):
+        theirs = {
+            canonical_form(Graph.from_edges(n, t.edges())) for t in nx.nonisomorphic_trees(n)
+        }
+        assert {canonical_form(t) for t in trees_by_order[n]} == theirs
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerate_trees_rejects_non_positive_order(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        enumerate_trees(n)
 
 
 def test_enumeration_matches_networkx_generator():
-    # independent oracle: the WROM free-tree generator
+    # oracle: networkx's own implementation of the free-tree generator
     ours = enumerate_trees(8)
     theirs = [nx.Graph(list(t.edges())) for t in nx.nonisomorphic_trees(8)]
     assert len(ours) == len(theirs) == 23
