@@ -70,7 +70,6 @@ from .spectral import (
     build_matrix,
     edge_term_stats,
     trace_of_square,
-    trace_of_square_dense,
     variance_identity_check,
 )
 

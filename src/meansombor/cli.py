@@ -228,6 +228,15 @@ def scan(
     t1 = time.perf_counter()
     grid = _parse_range(range_spec) if range_spec else AlphaGrid()
     props = [prop] if prop else ds.usable_properties()
+    if curve_dir:
+        owners: dict[str, str] = {}
+        for p in props:
+            other = owners.setdefault(_slug(p), p)
+            if other != p:
+                raise click.BadParameter(
+                    f"properties {other!r} and {p!r} would both write curve-{_slug(p)}.csv",
+                    param_hint="'--curve-out'",
+                )
     scans = scan_properties(ds, props, grid)
     t2 = time.perf_counter()
     if curve_dir:
@@ -248,7 +257,7 @@ def scan(
 
 
 @cli.command()
-@click.option("--random", "random_count", type=int, default=1000, show_default=True)
+@click.option("--random", "random_count", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_RANDOM_SEED, show_default=True)
 @click.option("--out", type=click.Path(), default="bound_reports.csv", show_default=True)
 @click.option("--timings", is_flag=True, help="print stage durations to stderr")

@@ -7,16 +7,15 @@ complete bipartite graphs), seeded random connected graphs, the free trees
 of each order, and the 18 octane carbon skeletons (trees on 8 vertices with
 maximum degree 4).
 
-Free trees come from the Wright-Richmond-Odlyzko-McKay generator, which
-makes each isomorphism class once, each step in constant amortised time.
-Each tree's canonical form (its centroid-rooted level sequence) is computed
-once; the trees are sorted on it and relabelled by it, so the order and
-the vertex labels depend only on the isomorphism classes.
+Free trees are generated directly as their canonical codes, rooted at the
+centroid: one tree per isomorphism class, with no isomorphism test and no
+graph walk.  The trees are sorted on the code's level sequence and
+labelled by it, so the order and the vertex labels depend only on the
+isomorphism classes.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -355,105 +354,45 @@ def canonical_form(g: Graph) -> str:
     return ".".join(str(d) for d in _code_to_levels(best))
 
 
-def _free_trees(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Edge lists of the free trees on n vertices, each tree once, by the
-    constant-time generator of Wright, Richmond, Odlyzko and McKay,
-    "Constant time generation of free trees", SIAM J. Comput. 15 (1986).
+def _forests(pool: list[tuple[tuple, int]], m: int, start: int = 0) -> Iterator[tuple]:
+    """Every multiset of rooted-tree codes from pool[start:] whose vertex
+    counts sum to m, as a tuple in pool order.  pool holds (code, size)
+    pairs sorted by code, largest first, so each tuple comes out in the
+    descending order `_rooted_code` gives a vertex's children."""
+    if m == 0:
+        yield ()
+        return
+    for i in range(start, len(pool)):
+        code, size = pool[i]
+        if size <= m:
+            for rest in _forests(pool, m - size, i):
+                yield (code,) + rest
 
-    A tree is held as the level sequence L of its rooting at the centre
-    (root at level 1, 1-based positions) with parents W.  Each step is the
-    Beyer-Hedetniemi rooted-tree successor -- L[p:] becomes repeated copies
-    of the block that starts at q -- taken from the position the free-tree
-    conditions allow, so no sequence is built twice and no isomorphism test
-    is run.  The bookkeeping that makes each step constant amortised time:
-    r ends the root's first subtree, h1 and h2 are where the first and
-    second subtrees first reach their height, and c (n + 1 and infinity are
-    markers) is where the vertices after the first subtree stop repeating
-    it one level up, which picks one of the two rootings of a tree with two
-    centres.  Building each yielded edge list takes O(n).
+
+def _free_tree_codes(n: int) -> Iterator[tuple]:
+    """The centroid-rooted code (the one `canonical_form` takes) of every
+    free tree on n vertices, each tree once.
+
+    By Jordan's centroid theorem a tree has one centroid exactly when each
+    branch there has at most (n - 1) // 2 vertices, so those trees are the
+    multisets of such rooted trees with n - 1 vertices in all.  A tree with
+    two centroids is an unordered pair of rooted trees on n / 2 vertices
+    joined at their roots; its code is the smaller of its two rootings.
+    Rooted trees are built by size, each as the multiset of its children.
     """
-    inf = math.inf
-    L = [0] * (n + 2)
-    W = [0] * (n + 2)
-    # first tree: the path, rooted at its centre
-    k = n // 2 + 1
-    for i in range(1, n + 1):
-        L[i] = i if i <= k else i - k + 1
-        W[i] = i - 1
-    if n > k:
-        W[k + 1] = 1
-    p = 3 if n == 4 else n
-    q = 0 if n <= 3 else n - 1
-    h1, h2, r = k, n, k
-    c = inf if n % 2 else n + 1
-    while True:
-        yield [(W[i] - 1, i - 1) for i in range(2, n + 1)]
-        if q == 0:  # the next successor would move the root: done
-            return
-        fixit = False
-        if c == n + 1 or (
-            p == h2
-            and (
-                (L[h1] == L[h2] + 1 and n - h2 > r - h1)
-                or (L[h1] == L[h2] and n - h2 + 1 < r - h1)
-            )
-        ):
-            if L[r] > 3:
-                p, q = r, W[r]
-                if h1 == r:
-                    h1 -= 1
-                fixit = True
-            else:
-                p, r, q = r, r - 1, 2
-        needr = needc = needh2 = False
-        if p <= h1:
-            h1 = p - 1
-        if p <= r:
-            needr = True
-        elif p <= h2:
-            needh2 = True
-        elif L[h2] == L[h1] - 1 and n - h2 == r - h1:
-            needc = p <= c
-        else:
-            c = inf
-        oldp, delta, oldLq, oldWq = p, q - p, L[q], W[q]
-        p = inf
-        for i in range(oldp, n + 1):
-            L[i] = L[i + delta]
-            if L[i] == 2:
-                W[i] = 1
-            else:
-                p = i
-                q = oldWq if L[i] == oldLq else W[i + delta] - delta
-                W[i] = q
-            if needr and L[i] == 2:
-                needr, needh2, r = False, True, i - 1
-            if needh2 and L[i] <= L[i - 1] and i > r + 1:
-                needh2, h2 = False, i - 1
-                if L[h2] == L[h1] - 1 and n - h2 == r - h1:
-                    needc = True
-                else:
-                    c = inf
-            if needc:
-                if L[i] != L[h1 - h2 + i] - 1:
-                    needc, c = False, i
-                else:
-                    c = i + 1
-        if fixit:
-            # the second subtree restarts as a path as high as the first
-            r = n - h1 + 1
-            for i in range(r + 1, n + 1):
-                L[i] = i - r + 1
-                W[i] = i - 1
-            W[r + 1] = 1
-            h2, p, q, c = n, n, n - 1, inf
-        else:
-            if p == inf:
-                p = oldp - 1 if L[oldp - 1] != 2 else oldp - 2
-                q = W[p]
-            if needh2:
-                h2 = n
-                c = n + 1 if L[h2] == L[h1] - 1 and h1 == r else inf
+    pool: list[tuple[tuple, int]] = []
+    for size in range(1, n // 2 + 1):
+        pool += [(code, size) for code in _forests(pool, size - 1)]
+        pool.sort(reverse=True)
+    yield from _forests([p for p in pool if 2 * p[1] < n], n - 1)
+    if n % 2 == 0:
+        halves = [code for code, size in pool if 2 * size == n]
+        for i, a in enumerate(halves):
+            for b in halves[i:]:
+                yield min(
+                    tuple(sorted(a + (b,), reverse=True)),
+                    tuple(sorted(b + (a,), reverse=True)),
+                )
 
 
 def _tree_from_levels(levels: list[int]) -> Graph:
@@ -473,23 +412,19 @@ def _canonical_trees(n: int) -> list[tuple[str, Graph]]:
     canonical form, each tree labelled by its canonical level sequence."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    for edges in _free_trees(n):
-        c = canonical_form(Graph(n, frozenset(edges)))
-        out.append((c, _tree_from_levels([int(d) for d in c.split(".")])))
-    out.sort(key=lambda ct: ct[0])
-    return out
+    levels = [_code_to_levels(code) for code in _free_tree_codes(n)]
+    forms = sorted((".".join(map(str, lv)), lv) for lv in levels)
+    return [(c, _tree_from_levels(lv)) for c, lv in forms]
 
 
 def enumerate_trees(n: int) -> list[Graph]:
     """All pairwise non-isomorphic trees on n vertices, sorted by canonical
     form.
 
-    The trees come from the Wright-Richmond-Odlyzko-McKay free-tree
-    generator, one per isomorphism class.  Each is relabelled by its
-    canonical form: vertex i is entry i of the centroid-rooted level
-    sequence, and its parent is the nearest earlier vertex one level up,
-    so the labels depend only on the isomorphism class.
+    Each tree is built from its centroid-rooted code, one per isomorphism
+    class, and labelled by its canonical form: vertex i is entry i of the
+    level sequence, and its parent is the nearest earlier vertex one level
+    up, so the labels depend only on the isomorphism class.
     """
     return [t for _, t in _canonical_trees(n)]
 

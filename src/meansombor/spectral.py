@@ -63,11 +63,6 @@ def trace_of_square(mat: np.ndarray) -> float:
     return float(np.sum(mat * mat))
 
 
-def trace_of_square_dense(mat: np.ndarray) -> float:
-    """Oracle: the same trace through an explicit matrix multiplication."""
-    return float(np.trace(mat @ mat))
-
-
 def variance_identity(g: Graph, a: Alpha) -> tuple[EdgeTermStats, float, float]:
     """Edge-term statistics, mSO and the radicand (m/2) tr(M^2) - m^2 sigma^2
     (the square of mSO in exact arithmetic), all from one power-mean

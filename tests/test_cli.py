@@ -205,6 +205,24 @@ def test_scan_rejects_non_finite_cell(capsys, tmp_path):
     assert "row 19: non-finite cell 'nan' for BP" in err
 
 
+def test_scan_rejects_colliding_curve_files(capsys, tmp_path, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("colliding curve files must be rejected before scanning")
+
+    monkeypatch.setattr("meansombor.cli.scan_properties", no_scan)
+    props = tmp_path / "props.csv"
+    props.write_text("name,BP 1,BP-1\n" + "".join(
+        f'"{s.name}",{i},{2 * i}\n' for i, s in enumerate(enumerate_octane_skeletons())
+    ))
+    curves = tmp_path / "curves"
+    code, out, err = run(
+        capsys, "scan", "--properties", str(props), "--curve-out", str(curves)
+    )
+    assert code == 1 and out == ""
+    assert "'BP 1' and 'BP-1' would both write curve-BP-1.csv" in err
+    assert not curves.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -274,6 +292,14 @@ def test_verify_failure_exits_2(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "verification failed" in err
     assert out_path.exists()  # the report is still written
+
+
+def test_verify_rejects_negative_random_count(capsys, tmp_path):
+    out_path = tmp_path / "reports.csv"
+    code, out, err = run(capsys, "verify", "--random", "-3", "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert "--random" in err and "-3" in err
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

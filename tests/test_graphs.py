@@ -1,9 +1,9 @@
 """Graph container, parsing, structure queries, and tree enumeration.
 
-The enumeration is checked against OEIS counts and two oracles:
-networkx's implementation of the same free-tree generator (its code, not
-ours, and used only here) and a brute-force Prufer-sequence sweep over all
-labeled trees.
+The enumeration is checked against OEIS counts and two independent
+oracles: networkx's free-tree generator (the Wright-Richmond-Odlyzko-McKay
+successor algorithm, used only here) and a brute-force Prufer-sequence
+sweep over all labeled trees.
 """
 
 import heapq
@@ -256,6 +256,15 @@ def test_canonical_forms_match_networkx_generator(trees_by_order):
         assert {canonical_form(t) for t in trees_by_order[n]} == theirs
 
 
+@pytest.mark.parametrize("n, free, chemical", [(15, 7741, 4347), (16, 19320, 10359)])
+def test_tree_counts_at_orders_15_and_16(n, free, chemical):
+    # A000055 and A000602 past the fixture's orders, which the
+    # canonical_form-based tests above would make slow
+    trees = enumerate_trees(n)
+    assert len(trees) == free
+    assert sum(max(t.degrees) <= 4 for t in trees) == chemical
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerate_trees_rejects_non_positive_order(n):
     with pytest.raises(ValueError, match="n must be positive"):
@@ -263,7 +272,7 @@ def test_enumerate_trees_rejects_non_positive_order(n):
 
 
 def test_enumeration_matches_networkx_generator():
-    # oracle: networkx's own implementation of the free-tree generator
+    # oracle: networkx's free-tree generator, an algorithm independent of ours
     ours = enumerate_trees(8)
     theirs = [nx.Graph(list(t.edges())) for t in nx.nonisomorphic_trees(8)]
     assert len(ours) == len(theirs) == 23

@@ -27,11 +27,16 @@ from meansombor.spectral import (
     build_matrix,
     edge_term_stats,
     trace_of_square,
-    trace_of_square_dense,
     variance_identity,
     variance_identity_check,
     write_matrix_csv,
 )
+
+
+def trace_of_square_dense(mat: np.ndarray) -> float:
+    """Oracle: tr(mat^2) through an explicit matrix multiplication."""
+    return float(np.trace(mat @ mat))
+
 
 ALPHA_GRID = (
     Alpha.finite(-3),
