@@ -274,9 +274,8 @@ def check_so_sandwich(g: Graph, a: Alpha, graph_id: str = "") -> list[BoundRepor
     """Sandwich of mSO_a between Sombor-index multiples:
 
     0 < a < 2:  2^{-1/a} SO <  mSO_a <= 2^{-1/2} SO
-    a > 2:      2^{-1/2} SO <= mSO_a <  2^{-1/a} SO
-    a < 0 (and the 0-limit and -inf tags): mSO_a <= 2^{-1/2} SO
-    +inf tag:   2^{-1/2} SO <= mSO_inf < SO
+    a > 2:      2^{-1/2} SO <= mSO_a <  2^{-1/a} SO   (2^{-1/a} = 1 at +inf)
+    a <= 0:     mSO_a <= 2^{-1/2} SO                  (0 and -inf included)
 
     Non-strict links attain equality iff every connected component is
     regular; a = 2 is the definitional identity mSO_2 = 2^{-1/2} SO.
@@ -298,20 +297,17 @@ def check_so_sandwich(g: Graph, a: Alpha, graph_id: str = "") -> list[BoundRepor
             strict_expected=strict,
         )
 
-    if a.is_finite and 0.0 < a.value < 2.0:
-        lower = 2.0 ** (-1.0 / a.value) * so
+    if 0.0 < a < 2.0:
+        lower = 2.0 ** (-1.0 / a) * so
         reports.append(rep("so-sandwich-lower", lower, mso, False, unbalanced))
         reports.append(rep("so-sandwich-upper", mso, 2.0**-0.5 * so, regular, False))
-    elif a.is_finite and a.value == 2.0:
+    elif a == 2.0:
         reports.append(rep("so-sandwich-eq2", mso, 2.0**-0.5 * so, True, False))
-    elif (a.is_finite and a.value > 2.0) or a == ALPHA_PLUS_INF:
+    elif a > 2.0:
         reports.append(rep("so-sandwich-lower", 2.0**-0.5 * so, mso, regular, False))
-        if a == ALPHA_PLUS_INF:
-            # limit of 2^{-1/a} SO; the strict upper bound survives the limit
-            reports.append(rep("so-sandwich-upper", mso, so, False, g.edge_count > 0))
-        else:
-            upper = 2.0 ** (-1.0 / a.value) * so
-            reports.append(rep("so-sandwich-upper", mso, upper, False, unbalanced))
+        # at +inf the upper link is strict on any edge, regular or not
+        strict = g.edge_count > 0 if math.isinf(a) else unbalanced
+        reports.append(rep("so-sandwich-upper", mso, 2.0 ** (-1.0 / a) * so, False, strict))
     else:  # finite a < 0, the 0-limit, or -inf
         reports.append(rep("so-sandwich-upper", mso, 2.0**-0.5 * so, regular, False))
     return reports

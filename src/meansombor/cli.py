@@ -145,7 +145,7 @@ def matrix(graph_path: str, alpha_spec: str, out: str) -> None:
 
 
 def _slug(name: str) -> str:
-    return name.replace(",", "-").replace(" ", "-")
+    return name.translate(str.maketrans(", /\\", "----"))
 
 
 @cli.command("enumerate")

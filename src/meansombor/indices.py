@@ -2,9 +2,10 @@
 family built on it.
 
 The central object is the two-argument power mean
-``PM_a(x, y) = ((x^a + y^a)/2)^(1/a)`` together with its three limit
-regimes: the geometric mean (a -> 0), the minimum (a -> -inf) and the
-maximum (a -> +inf).  Summing PM over the endpoint degrees of every edge
+``PM_a(x, y) = ((x^a + y^a)/2)^(1/a)`` extended continuously to every a in
+[-inf, inf]: the geometric mean at a = 0, the minimum at -inf and the
+maximum at +inf.  An exponent is a point of that line, and 0 and +-inf are
+the limit points.  Summing PM over the endpoint degrees of every edge
 gives the mean Sombor index; fixing the exponent recovers a family of
 classical degree-based indices (inverse sum indeg, reciprocal Randic,
 first Zagreb, Sombor, the (a,b)-KA family, and the min/max edge sums).
@@ -15,8 +16,6 @@ Every edge sum reads the graph's degree-pair profile through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import total_ordering
 from itertools import chain, repeat, starmap
 from typing import Callable, Sequence
 
@@ -24,72 +23,56 @@ import numpy as np
 
 from .graphs import Graph
 
-FINITE = "finite"
-ZERO = "zero-limit"
-PLUS_INF = "+inf"
-MINUS_INF = "-inf"
 
+class Alpha(float):
+    """Exponent of the power mean: a point of the extended real line
+    [-inf, inf].
 
-@total_ordering
-@dataclass(frozen=True)
-class Alpha:
-    """Exponent of the power mean: a nonzero finite real or one of the
-    three explicit limit tags.
-
-    Tags are never inferred from the magnitude of a finite value; the
-    caller chooses the regime.  Ordering places the tags where the limits
-    live: -inf < finite(x) < +inf, with the zero-limit ordering as 0.
+    0 and +-inf are the limit points (geometric mean, minimum, maximum);
+    every other value is an ordinary finite exponent.  NaN is rejected.
+    Ordering, equality and hashing are the float's.
     """
 
-    kind: str
-    value: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (FINITE, ZERO, PLUS_INF, MINUS_INF):
-            raise ValueError(f"unknown alpha kind {self.kind!r}")
-        if self.kind == FINITE:
-            if not math.isfinite(self.value) or self.value == 0.0:
-                raise ValueError("finite alpha must be a nonzero finite real")
-        elif self.value != 0.0:
-            raise ValueError("tagged alpha carries no value")
+    def __new__(cls, x: float | str) -> "Alpha":
+        self = super().__new__(cls, x)
+        if math.isnan(self):
+            raise ValueError("alpha must not be NaN")
+        return self
 
     @staticmethod
     def finite(x: float) -> "Alpha":
-        return Alpha(FINITE, float(x))
+        """A nonzero finite exponent; the limit points are rejected."""
+        a = Alpha(x)
+        if not a.is_finite:
+            raise ValueError("finite alpha must be a nonzero finite real")
+        return a
+
+    @property
+    def value(self) -> float:
+        return float(self)
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == FINITE
-
-    @property
-    def order_key(self) -> float:
-        """Position on the extended real line used for comparisons."""
-        if self.kind == FINITE:
-            return self.value
-        if self.kind == ZERO:
-            return 0.0
-        return math.inf if self.kind == PLUS_INF else -math.inf
-
-    def __lt__(self, other: "Alpha") -> bool:
-        return self.order_key < other.order_key
+        """True for a nonzero finite exponent, False at the limit points."""
+        return self != 0.0 and math.isfinite(self)
 
     def token(self) -> str:
         """Stable text form: '0-limit', '+inf', '-inf', or the decimal."""
-        if self.kind == ZERO:
+        if self == 0.0:
             return "0-limit"
-        if self.kind == PLUS_INF:
-            return "+inf"
-        if self.kind == MINUS_INF:
-            return "-inf"
-        return format(self.value, ".10g")
+        if math.isinf(self):
+            return "+inf" if self > 0 else "-inf"
+        return format(self, ".10g")
 
     def __str__(self) -> str:
         return self.token()
 
 
-ZERO_LIMIT = Alpha(ZERO)
-ALPHA_PLUS_INF = Alpha(PLUS_INF)
-ALPHA_MINUS_INF = Alpha(MINUS_INF)
+ZERO_LIMIT = Alpha(0.0)
+ALPHA_PLUS_INF = Alpha(math.inf)
+ALPHA_MINUS_INF = Alpha(-math.inf)
 
 
 def parse_alpha(token: str) -> Alpha:
@@ -106,14 +89,14 @@ def parse_alpha(token: str) -> Alpha:
     if t == "-inf":
         return ALPHA_MINUS_INF
     try:
-        x = float(t)
-    except ValueError:
+        a = Alpha(t)
+    except ValueError:  # not a decimal, or NaN
         raise ValueError(f"cannot parse alpha {token!r}")
-    if x == 0.0:
+    if a == 0.0:
         raise ValueError("use the literal '0' for the zero-limit exponent")
-    if not math.isfinite(x):
+    if math.isinf(a):
         raise ValueError("use 'inf'/'-inf' for the limit exponents")
-    return Alpha.finite(x)
+    return a
 
 
 def _geometric_mean(x: float, y: float) -> float:
@@ -125,7 +108,8 @@ def _geometric_mean(x: float, y: float) -> float:
 def power_mean(x: float, y: float, a: Alpha) -> float:
     """Power mean of two positive reals at an extended exponent.
 
-    Finite exponents use the max-factored form
+    a = 0 gives the geometric mean, -inf the minimum and +inf the maximum.
+    Other exponents use the max-factored form
     ``base * ((1 + t^a)/2)^(1/a)`` with t in (0, 1], which cannot overflow
     however large |a| gets; equal arguments short-circuit to the common
     value so regular graphs evaluate exactly and identically at every a.
@@ -141,27 +125,25 @@ def power_mean(x: float, y: float, a: Alpha) -> float:
     """
     if x <= 0.0 or y <= 0.0:
         raise ValueError(f"power mean needs positive arguments, got ({x}, {y})")
-    if a.kind == FINITE:
-        if x == y:
-            return float(x)
-        alpha = a.value
-        hi, lo = (x, y) if x > y else (y, x)
-        if -1.0 < alpha < 1.0:
-            r = hi / lo
-            z = alpha * (math.log(r) if r < math.inf else math.log(hi) - math.log(lo))
-            if abs(z) < 37.0:
-                u = math.sinh(z / 4.0)
-                return _geometric_mean(x, y) * math.exp(math.log1p(2.0 * u * u) / alpha)
-        if alpha > 0:
-            base, t = hi, lo / hi
-        else:
-            base, t = lo, hi / lo
-        return base * ((1.0 + t**alpha) / 2.0) ** (1.0 / alpha)
-    if a.kind == ZERO:
+    if a == 0.0:
         return _geometric_mean(x, y)
-    if a.kind == MINUS_INF:
-        return float(min(x, y))
-    return float(max(x, y))
+    if math.isinf(a):
+        return float(max(x, y) if a > 0 else min(x, y))
+    if x == y:
+        return float(x)
+    alpha = float(a)
+    hi, lo = (x, y) if x > y else (y, x)
+    if -1.0 < alpha < 1.0:
+        r = hi / lo
+        z = alpha * (math.log(r) if r < math.inf else math.log(hi) - math.log(lo))
+        if abs(z) < 37.0:
+            u = math.sinh(z / 4.0)
+            return _geometric_mean(x, y) * math.exp(math.log1p(2.0 * u * u) / alpha)
+    if alpha > 0:
+        base, t = hi, lo / hi
+    else:
+        base, t = lo, hi / lo
+    return base * ((1.0 + t**alpha) / 2.0) ** (1.0 / alpha)
 
 
 def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -> np.ndarray:

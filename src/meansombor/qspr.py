@@ -70,25 +70,20 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd step of the fraction
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_TOL:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
@@ -309,7 +304,7 @@ MAX_GRID_POINTS = 100_000
 @dataclass(frozen=True)
 class AlphaGrid:
     """Finite exponent lattice lo..hi in uniform steps, always augmented
-    with the zero-limit and both infinite tags.
+    with the limit points 0 and +-inf.
 
     Lattice points k*step are rounded to 12 decimals, so the step must be
     at least 1e-12; the grid must hold between 1 and MAX_GRID_POINTS
@@ -349,18 +344,11 @@ class AlphaGrid:
         )
 
     def points(self) -> list[Alpha]:
-        """The grid in ascending order: -inf, negatives, 0-limit,
-        positives, +inf."""
+        """The lattice and the limit points in ascending order: -inf,
+        negatives, 0, positives, +inf."""
         k_lo, k_hi = self._lattice()
-        finite = [
-            Alpha.finite(round(k * self.step, 12)) for k in range(k_lo, k_hi + 1) if k != 0
-        ]
-        neg = max(0, min(k_hi + 1, 0) - k_lo)  # how many k in [k_lo, k_hi] are < 0
-        return [ALPHA_MINUS_INF, *finite[:neg], ZERO_LIMIT, *finite[neg:], ALPHA_PLUS_INF]
-
-
-def _alpha_at(value: float) -> Alpha:
-    return ZERO_LIMIT if value == 0.0 else Alpha.finite(value)
+        finite = [round(k * self.step, 12) for k in range(k_lo, k_hi + 1) if k != 0]
+        return [Alpha(a) for a in sorted(finite + [0.0, -math.inf, math.inf])]
 
 
 def _pearson_columns(x: np.ndarray, y: Sequence[float]) -> np.ndarray:
@@ -392,15 +380,12 @@ def scan_properties(
     property's grid curve is Pearson's r over the rows of its records.
     Refines around the best finite grid point with a golden-section search
     to bracket width 1e-3, then picks the best of {refined finite, 0-limit,
-    -inf, +inf}; ties prefer the smaller |alpha| and then the 0-limit.
+    -inf, +inf}; ties prefer the smaller |alpha|, then the smaller alpha.
     Returns the winning report and the (alpha, r) grid curve per property.
     """
     columns = [ds.column(p) for p in props]
     grid = grid or AlphaGrid()
     points = grid.points()
-    required = {ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF}
-    if not required.issubset(points):
-        raise ValueError("alpha grid must include the 0-limit and both infinities")
     x_all = descriptor_matrix([rec.graph for rec in ds.records], points)
     scans = []
     for prop, recs in zip(props, columns):
@@ -424,20 +409,19 @@ def _best_alpha(recs: list[QsprRecord], y: list[float], curve: list, grid: Alpha
 
     best_finite, best_finite_r = min(
         ((a, r) for a, r in curve if a.is_finite),
-        key=lambda ar: (-abs(ar[1]), abs(ar[0].value)),
+        key=lambda ar: (-abs(ar[1]), abs(ar[0])),
     )
-    lo = max(best_finite.value - grid.step, grid.lo)
-    hi = min(best_finite.value + grid.step, grid.hi)
+    lo = max(best_finite - grid.step, grid.lo)
+    hi = min(best_finite + grid.step, grid.hi)
     refined = _golden_section_max(
-        lambda v: abs(r_at(_alpha_at(v))),
+        lambda v: abs(r_at(Alpha(v))),
         lo,
         hi,
         tol=1e-3,
-        seed=(best_finite.value, abs(best_finite_r)),
+        seed=(best_finite, abs(best_finite_r)),
     )
-    candidates = [_alpha_at(refined), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
-    tag_rank = {"zero-limit": 0, "finite": 1, "-inf": 2, "+inf": 3}
-    return min(candidates, key=lambda a: (-abs(r_at(a)), abs(a.order_key), tag_rank[a.kind]))
+    candidates = [Alpha(refined), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
+    return min(candidates, key=lambda a: (-abs(r_at(a)), abs(a), a))
 
 
 def _golden_section_max(
@@ -521,7 +505,7 @@ def reports_to_json(reports: Sequence[RegressionReport]) -> str:
 
 
 def write_curve_csv(curve: Sequence[tuple[Alpha, float]], stream: IO[str]) -> None:
-    """Two-column CSV (alpha, r); tagged exponents use their sentinels."""
+    """Two-column CSV (alpha, r); the limit points use their tokens."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("alpha", "r"))
     for a, r in curve:

@@ -302,7 +302,7 @@ def test_criterion_6_fallback_statistics_and_planted_pipeline():
     assert rep.c2 == pytest.approx(-11.5, abs=1e-9)
     best, curve = alpha_scan(ds, "Planted")
     assert abs(best.r) == pytest.approx(1.0, abs=1e-9)
-    assert len(curve) == 2003  # 2000 finite grid points plus three tags
+    assert len(curve) == 2003  # 2000 finite grid points plus the three limit points
     _announce(6, "fallback statistics and planted pipeline")
 
 

@@ -205,22 +205,38 @@ def test_scan_rejects_non_finite_cell(capsys, tmp_path):
     assert "row 19: non-finite cell 'nan' for BP" in err
 
 
+def _two_property_csv(path, first, second):
+    path.write_text(f"name,{first},{second}\n" + "".join(
+        f'"{s.name}",{i},{2 * i}\n' for i, s in enumerate(enumerate_octane_skeletons())
+    ))
+    return path
+
+
 def test_scan_rejects_colliding_curve_files(capsys, tmp_path, monkeypatch):
     def no_scan(*args):
         raise AssertionError("colliding curve files must be rejected before scanning")
 
     monkeypatch.setattr("meansombor.cli.scan_properties", no_scan)
-    props = tmp_path / "props.csv"
-    props.write_text("name,BP 1,BP-1\n" + "".join(
-        f'"{s.name}",{i},{2 * i}\n' for i, s in enumerate(enumerate_octane_skeletons())
-    ))
+    for i, (first, second) in enumerate([("BP 1", "BP-1"), ("BP/x", "BP-x")]):
+        props = _two_property_csv(tmp_path / f"props{i}.csv", first, second)
+        curves = tmp_path / f"curves{i}"
+        code, out, err = run(
+            capsys, "scan", "--properties", str(props), "--curve-out", str(curves)
+        )
+        assert code == 1 and out == ""
+        assert f"'{first}' and '{second}' would both write curve-{second}.csv" in err
+        assert not curves.exists()
+
+
+def test_scan_curve_file_names_replace_path_separators(capsys, tmp_path):
+    props = _two_property_csv(tmp_path / "props.csv", "BP/x", "MP\\y")
     curves = tmp_path / "curves"
-    code, out, err = run(
-        capsys, "scan", "--properties", str(props), "--curve-out", str(curves)
+    code, _, _ = run(
+        capsys, "scan", "--properties", str(props), "--alpha-range", "-1:1:0.5",
+        "--curve-out", str(curves),
     )
-    assert code == 1 and out == ""
-    assert "'BP 1' and 'BP-1' would both write curve-BP-1.csv" in err
-    assert not curves.exists()
+    assert code == 0
+    assert sorted(p.name for p in curves.iterdir()) == ["curve-BP-x.csv", "curve-MP-y.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +330,10 @@ def test_missing_file_is_operational_error(capsys, tmp_path):
 
 
 def test_bad_alpha_is_operational_error(capsys, p3_file):
-    code, _, err = run(capsys, "compute", "--graph", str(p3_file), "--alpha", "0.0")
-    assert code == 1
-    assert "literal '0'" in err
+    for spec, message in [("0.0", "literal '0'"), ("nan", "cannot parse alpha 'nan'")]:
+        code, _, err = run(capsys, "compute", "--graph", str(p3_file), "--alpha", spec)
+        assert code == 1
+        assert message in err
 
 
 def test_malformed_graph_is_operational_error(capsys, tmp_path):

@@ -388,6 +388,9 @@ def test_alpha_validation():
         Alpha.finite(math.inf)
     with pytest.raises(ValueError):
         Alpha.finite(math.nan)
+    with pytest.raises(ValueError):
+        Alpha(math.nan)
+    assert Alpha(-0.0).token() == "0-limit"
 
 
 def test_parse_alpha_tokens():
@@ -396,9 +399,13 @@ def test_parse_alpha_tokens():
     assert parse_alpha("+inf") == ALPHA_PLUS_INF
     assert parse_alpha("-inf") == ALPHA_MINUS_INF
     assert parse_alpha("-4.23") == Alpha.finite(-4.23)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="literal '0'"):
         parse_alpha("0.0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="use 'inf'/'-inf'"):
+        parse_alpha("1e400")
+    with pytest.raises(ValueError, match="cannot parse alpha 'abc'"):
         parse_alpha("abc")
+    with pytest.raises(ValueError, match="cannot parse alpha 'nan'"):
+        parse_alpha("nan")
     assert parse_alpha("2").token() == "2"
     assert ZERO_LIMIT.token() == "0-limit"

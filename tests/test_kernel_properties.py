@@ -95,6 +95,19 @@ def test_power_mean_brackets_geometric_mean_exactly(x, y, e):
     below, at, above = power_mean_grid([(x, y)], [lo, ZERO_LIMIT, hi])[0]
     assert below <= at <= above
 
+
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0))
+def test_finite_alpha_is_its_float(v):
+    a = Alpha.finite(v)
+    assert a == v and hash(a) == hash(v)
+    assert a.token() == format(v, ".10g")
+
+
+@given(st.lists(exponents, max_size=12))
+def test_alphas_sort_as_their_floats(alphas):
+    assert [float(a) for a in sorted(alphas)] == sorted(float(a) for a in alphas)
+
+
 @given(st.sampled_from(GRAPHS), exponents, exponents)
 def test_mean_sombor_monotone_in_alpha(g, a1, a2):
     lo, hi = sorted((a1, a2))

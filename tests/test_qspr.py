@@ -11,6 +11,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
@@ -287,13 +288,11 @@ def test_scan_constant_property_gives_zero_curve():
 
 
 def _sorted_grid(grid):
-    """The grid as built by sorting the tags into the finite lattice."""
+    """The grid as built by sorting the limit points into the finite lattice."""
     k_lo = math.ceil(round(grid.lo / grid.step, 9))
     k_hi = math.floor(round(grid.hi / grid.step, 9))
     finite = [Alpha.finite(round(k * grid.step, 12)) for k in range(k_lo, k_hi + 1) if k != 0]
-    pts = [ALPHA_MINUS_INF, ZERO_LIMIT, ALPHA_PLUS_INF] + finite
-    pts.sort(key=lambda a: (a.order_key, a.kind))
-    return pts
+    return sorted([ALPHA_MINUS_INF, ZERO_LIMIT, ALPHA_PLUS_INF] + finite)
 
 
 def test_alpha_grid_points():
@@ -302,8 +301,8 @@ def test_alpha_grid_points():
     assert pts[0] == ALPHA_MINUS_INF and pts[-1] == ALPHA_PLUS_INF
     assert ZERO_LIMIT in pts
     finite = [a.value for a in pts if a.is_finite]
-    assert finite == [-1.0, -0.5, 0.5, 1.0]  # zero excluded, covered by the tag
-    assert [a.order_key for a in pts] == sorted(a.order_key for a in pts)
+    assert finite == [-1.0, -0.5, 0.5, 1.0]  # zero excluded, covered by the limit point
+    assert pts == sorted(pts)
     grids = [
         grid,
         AlphaGrid(),
@@ -320,6 +319,11 @@ def test_alpha_grid_points():
         assert pts[0] == ALPHA_MINUS_INF and pts[-1] == ALPHA_PLUS_INF
         assert pts.index(ZERO_LIMIT) == negatives + 1
         assert sum(not a.is_finite for a in pts) == 3
+
+
+def test_alpha_grid_points_are_the_extended_line():
+    pts = np.asarray(AlphaGrid(-1, 1, 0.5).points(), float)
+    assert pts.tolist() == [-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0, math.inf]
 
 
 def test_alpha_grid_excludes_zero_even_off_lattice():
@@ -351,22 +355,12 @@ def test_alpha_grid_validation(monkeypatch):
     AlphaGrid(-500, 500, 0.01)  # exactly MAX_GRID_POINTS finite points
 
 
-def test_scan_requires_tagged_points():
-    class NoTags(AlphaGrid):
-        def points(self):
-            return [Alpha.finite(1.0), Alpha.finite(2.0)]
-
-    ds = planted_dataset(Alpha.finite(1))
-    with pytest.raises(ValueError, match="must include"):
-        alpha_scan(ds, "P", NoTags())
-
-
 def test_scan_recovers_planted_finite_alpha():
     ds = planted_dataset(Alpha.finite(0.5))
     best, curve = alpha_scan(ds, "P", AlphaGrid(-3, 3, 0.05))
     assert abs(best.r) == pytest.approx(1.0, abs=1e-9)
     assert best.alpha.is_finite and best.alpha.value == pytest.approx(0.5, abs=0.05)
-    assert len(curve) == 123  # 120 finite points + 3 tags
+    assert len(curve) == 123  # 120 finite points + 3 limit points
 
 
 def test_scan_prefers_zero_limit_tag():
