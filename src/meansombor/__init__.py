@@ -42,6 +42,7 @@ from .indices import (
 )
 from .bounds import (
     BoundReport,
+    VerificationTable,
     check_chain,
     check_jensen_m1_bound,
     check_ka_powersum_bound,

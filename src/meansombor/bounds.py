@@ -8,15 +8,19 @@ clause applies to the input (some clauses require connectivity).  A report
 where applicable, the predicted and observed equality agree.
 
 `run_verification` sweeps every check over a graph corpus (plus seeded
-random connected graphs) and is what the CLI `verify` subcommand runs.
+random connected graphs) into a `VerificationTable`, and is what the CLI
+`verify` subcommand runs.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+import re
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import IO, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -388,38 +392,76 @@ def checks_for_graph(named: NamedGraph) -> list[BoundReport]:
     return out
 
 
+@dataclass(frozen=True)
+class VerificationTable:
+    """The rows of a sweep, stored once per profile key.
+
+    `batteries` maps each (degree pairs, vertex count, connected) key to the
+    rows of `checks_for_graph` for the first graph with that key; `graphs`
+    lists every (graph_id, key) in corpus order.  Iterating the table yields
+    each graph's rows under its own graph_id, the same `BoundReport` rows in
+    the same order as running `checks_for_graph` on every graph, and it may
+    be iterated more than once.
+    """
+
+    batteries: dict[tuple, list[BoundReport]]
+    graphs: list[tuple[str, tuple]]
+
+    def __len__(self) -> int:
+        return sum(len(self.batteries[key]) for _, key in self.graphs)
+
+    def __iter__(self) -> Iterator[BoundReport]:
+        for gid, key in self.graphs:
+            for r in self.batteries[key]:
+                yield r if r.graph_id == gid else replace(r, graph_id=gid)
+
+    def failures(self) -> tuple[int, BoundReport | None]:
+        """The number of rows that are not ok, and the first of them with the
+        smallest slack in row order (None when every row is ok).
+
+        Each battery's failures count once per graph sharing its key; the
+        worst row is reported under the first graph with its key.
+        """
+        weights = Counter(key for _, key in self.graphs)
+        first = {}
+        for gid, key in self.graphs:
+            first.setdefault(key, gid)
+        count, worst = 0, None
+        for key, gid in first.items():
+            bad = [r for r in self.batteries[key] if not r.ok]
+            count += weights[key] * len(bad)
+            for r in bad:
+                if worst is None or r.slack < worst.slack:
+                    worst = replace(r, graph_id=gid)
+        return count, worst
+
+
 def run_verification(
     corpus: Sequence[NamedGraph] | None = None,
     random_count: int = 1000,
     seed: int = DEFAULT_RANDOM_SEED,
-) -> list[BoundReport]:
+) -> VerificationTable:
     """Sweep all checks over the corpus plus seeded random connected graphs.
 
     Every check is a function of the degree-pair profile, the vertex count
-    and connectivity, so the battery runs once per such key; a later graph
-    with the same key gets the first one's rows under its own graph_id.
-    The memo lives for this call only.  The result order is deterministic
-    for fixed inputs and equals running `checks_for_graph` on every graph.
+    and connectivity, so the battery runs once per such key and the returned
+    table stores its rows once; iterating the table gives every graph's rows
+    under its own graph_id.  Nothing outlives this call but the table.  The
+    row order is deterministic for fixed inputs and equals running
+    `checks_for_graph` on every graph.
     """
     graphs = list(default_corpus() if corpus is None else corpus)
     if random_count > 0:
         graphs.extend(random_connected_graphs(random_count, seed))
-    memo: dict[tuple, list[BoundReport]] = {}
-    out: list[BoundReport] = []
+    batteries: dict[tuple, list[BoundReport]] = {}
+    keyed: list[tuple[str, tuple]] = []
     for named in graphs:
-        g, gid = named.graph, named.name
+        g = named.graph
         key = (g.degree_pairs, g.vertex_count, is_connected(g))
-        rows = memo.get(key)
-        if rows is None:
-            memo[key] = rows = checks_for_graph(named)
-            out.extend(rows)
-        else:
-            out.extend(
-                BoundReport(r.bound_id, gid, r.alpha, r.lhs, r.rhs, r.equality_predicted,
-                            r.equality_applicable, r.strict_expected)
-                for r in rows
-            )
-    return out
+        if key not in batteries:
+            batteries[key] = checks_for_graph(named)
+        keyed.append((named.name, key))
+    return VerificationTable(batteries, keyed)
 
 
 REPORT_COLUMNS = (
@@ -437,30 +479,70 @@ REPORT_COLUMNS = (
 )
 
 
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` (minimal quoting) writes it inside a row."""
+    if not _CSV_SPECIAL.search(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _row_tail(r: BoundReport) -> str:
+    """The CSV columns after graph_id, without the line end."""
+    return ",".join((
+        _csv_field(r.alpha.token()) if r.alpha is not None else "",
+        format(r.lhs, ".17g"),
+        format(r.rhs, ".17g"),
+        format(r.slack, ".17g"),
+        str(int(r.equality_predicted)),
+        str(int(r.equality_observed)),
+        str(int(r.equality_applicable)),
+        str(int(r.strict_expected)),
+        str(int(r.ok)),
+    ))
+
+
+def _lines_around_graph_id(rows: Sequence[BoundReport]) -> list[str]:
+    """The rows' CSV lines split at their graph_id fields, so that
+    `field.join(parts)` gives the lines of the rows under that graph_id."""
+    heads = [_csv_field(r.bound_id) + "," for r in rows]
+    tails = ["," + _row_tail(r) + "\n" for r in rows]
+    return [t + h for t, h in zip([""] + tails, heads + [""])]
+
+
 def write_reports_csv(
-    reports: Iterable[BoundReport],
+    reports: VerificationTable | Iterable[BoundReport],
     stream: IO[str],
     seed: int | None = None,
     random_count: int | None = None,
 ) -> None:
-    """CSV of report rows; the fuzzing seed is recorded on a comment line."""
+    """CSV of report rows; the fuzzing seed is recorded on a comment line.
+
+    A `VerificationTable` has each battery row formatted once, after
+    graph_id, and every graph sharing its key written as that text around
+    its own quoted graph_id; the text is dropped after the last such graph.
+    Any other iterable of rows goes through the same formatter row by row.
+    Quoting matches `csv.writer`.
+    """
     if seed is not None:
         stream.write(f"# seed={seed} random_graphs={random_count}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for r in reports:
-        writer.writerow(
-            [
-                r.bound_id,
-                r.graph_id,
-                r.alpha.token() if r.alpha is not None else "",
-                format(r.lhs, ".17g"),
-                format(r.rhs, ".17g"),
-                format(r.slack, ".17g"),
-                int(r.equality_predicted),
-                int(r.equality_observed),
-                int(r.equality_applicable),
-                int(r.strict_expected),
-                int(r.ok),
-            ]
-        )
+    stream.write(",".join(REPORT_COLUMNS) + "\n")
+    if isinstance(reports, VerificationTable):
+        # a battery's text is kept only while graphs with its key remain
+        pending = Counter(key for _, key in reports.graphs)
+        texts: dict[tuple, list[str]] = {}
+        for gid, key in reports.graphs:
+            text = texts.pop(key, None)
+            if text is None:
+                text = _lines_around_graph_id(reports.batteries[key])
+            pending[key] -= 1
+            if pending[key]:
+                texts[key] = text
+            stream.write(_csv_field(gid).join(text))
+    else:
+        for r in reports:
+            stream.write(_csv_field(r.graph_id).join(_lines_around_graph_id([r])))

@@ -266,19 +266,18 @@ def verify(random_count: int, seed: int, out: str, timings: bool) -> None:
     t0 = time.perf_counter()
     corpus = default_corpus() + random_connected_graphs(random_count, seed)
     t1 = time.perf_counter()
-    reports = run_verification(corpus=corpus, random_count=0)
+    table = run_verification(corpus=corpus, random_count=0)
     t2 = time.perf_counter()
     with open(out, "w", encoding="utf-8") as fh:
-        write_reports_csv(reports, fh, seed=seed, random_count=random_count)
+        write_reports_csv(table, fh, seed=seed, random_count=random_count)
     t3 = time.perf_counter()
     if timings:
         _echo_timings(("corpus-build", t1 - t0), ("check-sweep", t2 - t1), ("csv-write", t3 - t2))
-    failures = [r for r in reports if not r.ok]
-    click.echo(f"checked {len(reports)} bound instances, {len(failures)} failures")
-    if failures:
-        worst = min(failures, key=lambda r: r.slack)
+    failures, worst = table.failures()
+    click.echo(f"checked {len(table)} bound instances, {failures} failures")
+    if worst is not None:
         raise VerificationFailure(
-            f"{len(failures)} bound checks failed; worst: {worst.bound_id} on "
+            f"{failures} bound checks failed; worst: {worst.bound_id} on "
             f"{worst.graph_id} (slack {worst.slack:.3e})"
         )
 

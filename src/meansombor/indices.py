@@ -16,6 +16,7 @@ Every edge sum reads the graph's degree-pair profile through
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from itertools import chain, repeat, starmap
 from typing import Callable, Sequence
 
@@ -79,7 +80,9 @@ def parse_alpha(token: str) -> Alpha:
     """Parse the command-line spelling of an exponent.
 
     '0' is reserved for the zero-limit, 'inf'/'+inf' and '-inf' for the
-    extremes; any other token must be a nonzero decimal.
+    extremes; any other token must be a nonzero decimal whose float is
+    finite and nonzero (a nonzero decimal below the smallest subnormal is
+    rejected as such, not as a zero).
     """
     t = token.strip()
     if t == "0":
@@ -93,6 +96,11 @@ def parse_alpha(token: str) -> Alpha:
     except ValueError:  # not a decimal, or NaN
         raise ValueError(f"cannot parse alpha {token!r}")
     if a == 0.0:
+        if Decimal(t) != 0:
+            raise ValueError(
+                f"alpha {token!r} is below the smallest representable exponent "
+                f"({math.ulp(0.0)!r} in magnitude)"
+            )
         raise ValueError("use the literal '0' for the zero-limit exponent")
     if math.isinf(a):
         raise ValueError("use 'inf'/'-inf' for the limit exponents")

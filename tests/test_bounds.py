@@ -1,6 +1,7 @@
 """Inequality checks: spec'd example values, equality biconditionals,
 strictness, and the sweep plumbing."""
 
+import csv
 import io
 import math
 import random
@@ -370,7 +371,9 @@ def test_run_verification_reuses_rows_per_profile_key(monkeypatch):
     collisions += [NamedGraph(f"K2,3_relabelled_{i}", _relabelled(k23, rng)) for i in range(3)]
     assert c6.degree_pairs == two_c3.degree_pairs  # same profile and n, not connectivity
     for gs in (default_corpus(), trees, collisions):
-        assert run_verification(gs, random_count=0) == [r for n in gs for r in checks_for_graph(n)]
+        assert list(run_verification(gs, random_count=0)) == [
+            r for n in gs for r in checks_for_graph(n)
+        ]
 
     # G + K1 keeps G's profile, but its isolated vertex must still reach
     # kalpha's minimum-degree check: after P3 the connected flag tells them
@@ -409,3 +412,47 @@ def test_write_reports_csv_shape(k13):
     assert lines[0] == "# seed=99 random_graphs=0"
     assert lines[1].startswith("bound_id,graph_id,alpha,lhs,rhs,slack")
     assert len(lines) == len(rows) + 2
+
+
+def _csv_writer_reference(rows, seed=None, random_count=None):
+    # the row-by-row csv.writer output the table writer must reproduce
+    buf = io.StringIO()
+    if seed is not None:
+        buf.write(f"# seed={seed} random_graphs={random_count}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(bounds.REPORT_COLUMNS)
+    for r in rows:
+        writer.writerow([
+            r.bound_id, r.graph_id, r.alpha.token() if r.alpha is not None else "",
+            format(r.lhs, ".17g"), format(r.rhs, ".17g"), format(r.slack, ".17g"),
+            int(r.equality_predicted), int(r.equality_observed),
+            int(r.equality_applicable), int(r.strict_expected), int(r.ok),
+        ])
+    return buf.getvalue()
+
+
+def test_write_reports_csv_table_matches_row_by_row_writer():
+    # the table formats each battery row once and writes it around every
+    # graph id sharing its key; the bytes must equal the per-graph rows
+    # written one by one, and csv.writer's own quoting of the ids
+    trees = [
+        NamedGraph(f"t{n}_{i}", t) for n in range(2, 11) for i, t in enumerate(enumerate_trees(n))
+    ]
+    k13, p4 = star_graph(3), path_graph(4)
+    quoted = [
+        NamedGraph("K1,3", k13), NamedGraph("P4", p4), NamedGraph('star "3"', k13),
+        NamedGraph('P4, "again"', p4), NamedGraph("star\nthree", k13),
+        NamedGraph("star\rthree", k13), NamedGraph("", k13),
+    ]
+    for gs in (default_corpus(), trees, quoted):
+        table = run_verification(gs, random_count=0)
+        rows = [r for n in gs for r in checks_for_graph(n)]
+        assert len(table) == len(rows)
+        from_table, from_rows = io.StringIO(), io.StringIO()
+        write_reports_csv(table, from_table, seed=7, random_count=0)
+        write_reports_csv(rows, from_rows, seed=7, random_count=0)
+        assert from_table.getvalue() == from_rows.getvalue()
+        assert from_table.getvalue() == _csv_writer_reference(rows, seed=7, random_count=0)
+    # the quoted ids share two batteries, so most are written from the cache
+    assert len(table.batteries) == 2
+    assert '\nmonotonicity,"K1,3",' in from_table.getvalue()

@@ -299,15 +299,61 @@ def test_verify_failure_exits_2(capsys, tmp_path, monkeypatch):
     # a failing bound can only come from a broken implementation, so fake
     # one report to exercise the exit-code contract
     import meansombor.cli as cli_mod
-    from meansombor.bounds import BoundReport
+    from meansombor.bounds import BoundReport, VerificationTable
 
     bad = BoundReport("fake", "g", None, 2.0, 1.0, equality_predicted=False)
-    monkeypatch.setattr(cli_mod, "run_verification", lambda **kw: [bad])
+    table = VerificationTable({("key",): [bad]}, [("g", ("key",))])
+    monkeypatch.setattr(cli_mod, "run_verification", lambda **kw: table)
     out_path = tmp_path / "reports.csv"
     code, out, err = run(capsys, "verify", "--out", str(out_path))
     assert code == 2
     assert "verification failed" in err
     assert out_path.exists()  # the report is still written
+
+
+def test_verify_failures_count_every_graph_sharing_a_key(capsys, tmp_path, monkeypatch):
+    # graphs sharing a battery with a failing row each count its failures,
+    # and the worst row is the one a row-by-row scan finds first (the first
+    # minimum slack, under the first graph with its key)
+    import meansombor.cli as cli_mod
+    from meansombor.bounds import BoundReport, VerificationTable
+
+    def row(bound_id, gid, lhs, rhs):
+        return BoundReport(bound_id, gid, None, lhs, rhs, equality_predicted=False)
+
+    shared = VerificationTable(
+        {("k",): [row("fine", "first", 1.0, 2.0), row("fake", "first", 2.0, 1.0)]},
+        [("first", ("k",)), ("second", ("k",))],
+    )
+    # two batteries tie on slack: the one whose first graph comes first wins
+    tied = VerificationTable(
+        {("k1",): [row("fake-1", "first", 2.0, 1.0)], ("k2",): [row("fake-2", "x", 3.0, 2.0)]},
+        [("x", ("k2",)), ("first", ("k1",)), ("second", ("k1",)), ("y", ("k2",))],
+    )
+    cases = [
+        (shared, "checked 4 bound instances, 2 failures",
+         "2 bound checks failed; worst: fake on first (slack -1.000e+00)"),
+        (tied, "checked 4 bound instances, 4 failures",
+         "4 bound checks failed; worst: fake-2 on x (slack -1.000e+00)"),
+    ]
+    for table, summary, message in cases:
+        failures = [r for r in table if not r.ok]
+        worst = min(failures, key=lambda r: r.slack)
+        assert message == (
+            f"{len(failures)} bound checks failed; worst: {worst.bound_id} on "
+            f"{worst.graph_id} (slack {worst.slack:.3e})"
+        )
+        monkeypatch.setattr(cli_mod, "run_verification", lambda **kw: table)
+        code, out, err = run(capsys, "verify", "--out", str(tmp_path / "reports.csv"))
+        assert code == 2
+        assert out == summary + "\n"
+        assert f"verification failed: {message}" in err
+
+
+def test_underflowing_alpha_is_operational_error(capsys, p3_file):
+    code, _, err = run(capsys, "compute", "--graph", str(p3_file), "--alpha", "1e-400")
+    assert code == 1
+    assert "below the smallest representable exponent" in err
 
 
 def test_verify_rejects_negative_random_count(capsys, tmp_path):

@@ -393,6 +393,17 @@ def test_alpha_validation():
     assert Alpha(-0.0).token() == "0-limit"
 
 
+def test_parse_alpha_underflow_is_not_a_zero():
+    # a nonzero decimal whose float underflows to 0.0 is too small, not a zero
+    for token in ("1e-400", "-1e-400", "2e-324"):
+        with pytest.raises(ValueError, match="below the smallest representable exponent"):
+            parse_alpha(token)
+    for token in ("0.0", "-0", "0e5"):
+        with pytest.raises(ValueError, match="literal '0'"):
+            parse_alpha(token)
+    assert parse_alpha("5e-324") == Alpha.finite(5e-324)
+
+
 def test_parse_alpha_tokens():
     assert parse_alpha("0") == ZERO_LIMIT
     assert parse_alpha("inf") == ALPHA_PLUS_INF
