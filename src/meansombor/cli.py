@@ -9,6 +9,7 @@ verification failure.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import sys
@@ -118,9 +119,11 @@ def compute(graph_path: str, alpha_spec: str, fmt: str, out: str | None) -> None
             [{"quantity": q, "value": v} for q, v in rows], indent=2
         ) + "\n"
     else:
-        text = "quantity,value\n" + "".join(
-            f"{q},{format(v, '.17g')}\n" for q, v in rows
-        )
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("quantity", "value"))
+        writer.writerows((q, format(v, ".17g")) for q, v in rows)
+        text = buf.getvalue()
     _emit(text, out)
 
 

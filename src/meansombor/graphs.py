@@ -7,11 +7,12 @@ complete bipartite graphs), seeded random connected graphs, the free trees
 of each order, and the 18 octane carbon skeletons (trees on 8 vertices with
 maximum degree 4).
 
-Free trees are generated directly as their canonical codes, rooted at the
-centroid: one tree per isomorphism class, with no isomorphism test and no
-graph walk.  The trees are sorted on the code's level sequence and
-labelled by it, so the order and the vertex labels depend only on the
-isomorphism classes.
+A rooted tree is coded by its level sequence: the depths in preorder, each
+vertex's subtrees in descending order (Beyer and Hedetniemi, 1980).  Free
+trees are generated directly as their codes rooted at the centroid: one
+tree per isomorphism class, with no isomorphism test and no graph walk.
+The trees are sorted on the code's string and labelled by it, so the order
+and the vertex labels depend only on the isomorphism classes.
 """
 
 from __future__ import annotations
@@ -299,103 +300,98 @@ def random_connected_graphs(count: int, seed: int, max_vertices: int = 12) -> li
 # ---------------------------------------------------------------------------
 
 def tree_centroids(g: Graph) -> list[int]:
-    """The one or two centroid vertices of a tree (minimize the largest
-    remaining component after removal)."""
+    """The one or two centroids of a tree, whose removal leaves no component
+    above half the vertices: walk from vertex 0 into the child subtree
+    holding more than half until none does; a child subtree holding exactly
+    half is rooted at the second centroid."""
     n = g.vertex_count
     parent, order = _bfs(g, 0)
     size = [1] * n
     for u in reversed(order[1:]):
         size[parent[u]] += size[u]
-    # rooted at 0: removing u leaves its child subtrees and n - size[u]
-    best: list[int] = []
-    best_val = n + 1
-    for u in range(n):
-        worst = n - size[u]
-        for v in g.adjacency[u]:
-            if v != parent[u]:
-                worst = max(worst, size[v])
-        if worst < best_val:
-            best_val = worst
-            best = [u]
-        elif worst == best_val:
-            best.append(u)
-    return best
+    u = 0
+    while True:
+        # at most one child subtree can hold half the vertices or more
+        heavy = [v for v in g.adjacency[u] if v != parent[u] and 2 * size[v] >= n]
+        if not heavy or 2 * size[heavy[0]] == n:
+            return sorted([u, *heavy])
+        u = heavy[0]
 
 
-def _rooted_code(g: Graph, root: int) -> tuple:
-    """Canonical nested-tuple code of the tree rooted at `root` (children
-    codes sorted), computed iteratively."""
+def _graft(subtrees: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """Level sequence of a root whose children are `subtrees`, in that order:
+    (0,) followed by each subtree's sequence shifted down one level."""
+    return (0,) + tuple(d + 1 for t in subtrees for d in t)
+
+
+def _rooted_code(g: Graph, root: int) -> tuple[int, ...]:
+    """Canonical level sequence of the tree rooted at `root` (each vertex's
+    subtrees in descending order), built bottom-up without recursion."""
     parent, order = _bfs(g, root)
-    code: list[tuple | None] = [None] * g.vertex_count
-    children: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u in order[1:]:
-        children[parent[u]].append(u)
-    for u in reversed(order):
-        code[u] = tuple(sorted((code[c] for c in children[u]), reverse=True))
-    return code[root]  # type: ignore[return-value]
-
-
-def _code_to_levels(code: tuple, depth: int = 0) -> list[int]:
-    out = [depth]
-    for child in code:
-        out.extend(_code_to_levels(child, depth + 1))
-    return out
+    subtrees: list[list[tuple[int, ...]]] = [[] for _ in range(g.vertex_count)]
+    for u in reversed(order[1:]):
+        subtrees[parent[u]].append(_graft(sorted(subtrees[u], reverse=True)))
+        subtrees[u] = []
+    return _graft(sorted(subtrees[root], reverse=True))
 
 
 def canonical_form(g: Graph) -> str:
-    """Canonical level-sequence string for a tree, rooted at its centroid.
+    """Canonical level-sequence string for a tree, rooted at its centroid
+    (the smaller sequence when there are two).
 
     Two trees get the same string iff they are isomorphic; the string doubles
-    as the manifest label for enumerated skeletons.
+    as the manifest label for enumerated skeletons.  Nothing recurses, so
+    every tree parse_graph accepts works under the default recursion limit.
     """
     if not is_connected(g) or g.edge_count != g.vertex_count - 1:
         raise ValueError("canonical_form is defined for trees only")
-    best = min(_rooted_code(g, c) for c in tree_centroids(g))
-    return ".".join(str(d) for d in _code_to_levels(best))
+    return ".".join(map(str, min(_rooted_code(g, c) for c in tree_centroids(g))))
 
 
-def _forests(pool: list[tuple[tuple, int]], m: int, start: int = 0) -> Iterator[tuple]:
-    """Every multiset of rooted-tree codes from pool[start:] whose vertex
-    counts sum to m, as a tuple in pool order.  pool holds (code, size)
-    pairs sorted by code, largest first, so each tuple comes out in the
-    descending order `_rooted_code` gives a vertex's children."""
+def _forests(pool: list[tuple[int, ...]], m: int, start: int = 0) -> Iterator[tuple]:
+    """Every multiset of rooted trees from pool[start:] whose vertex counts
+    sum to m, as a tuple in pool order.  pool holds level sequences sorted
+    largest first, so each tuple comes out in the descending order
+    `_rooted_code` gives a vertex's subtrees."""
     if m == 0:
         yield ()
         return
     for i in range(start, len(pool)):
-        code, size = pool[i]
-        if size <= m:
-            for rest in _forests(pool, m - size, i):
-                yield (code,) + rest
+        if len(pool[i]) <= m:
+            for rest in _forests(pool, m - len(pool[i]), i):
+                yield (pool[i],) + rest
 
 
-def _free_tree_codes(n: int) -> Iterator[tuple]:
-    """The centroid-rooted code (the one `canonical_form` takes) of every
-    free tree on n vertices, each tree once.
+def _free_tree_codes(n: int) -> Iterator[tuple[int, ...]]:
+    """The centroid-rooted level sequence (the one `canonical_form` takes)
+    of every free tree on n vertices, each tree once.
 
     By Jordan's centroid theorem a tree has one centroid exactly when each
     branch there has at most (n - 1) // 2 vertices, so those trees are the
     multisets of such rooted trees with n - 1 vertices in all.  A tree with
     two centroids is an unordered pair of rooted trees on n / 2 vertices
     joined at their roots; its code is the smaller of its two rootings.
-    Rooted trees are built by size, each as the multiset of its children.
+    Rooted trees are built by size, each grafted from the multiset of its
+    subtrees.
     """
-    pool: list[tuple[tuple, int]] = []
+    pool: list[tuple[int, ...]] = []
+    subtrees: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     for size in range(1, n // 2 + 1):
-        pool += [(code, size) for code in _forests(pool, size - 1)]
-        pool.sort(reverse=True)
-    yield from _forests([p for p in pool if 2 * p[1] < n], n - 1)
+        for forest in _forests(pool, size - 1):
+            subtrees[_graft(forest)] = forest
+        pool = sorted(subtrees, reverse=True)
+    yield from map(_graft, _forests([t for t in pool if 2 * len(t) < n], n - 1))
     if n % 2 == 0:
-        halves = [code for code, size in pool if 2 * size == n]
+        halves = [t for t in pool if 2 * len(t) == n]
         for i, a in enumerate(halves):
             for b in halves[i:]:
                 yield min(
-                    tuple(sorted(a + (b,), reverse=True)),
-                    tuple(sorted(b + (a,), reverse=True)),
+                    _graft(sorted(subtrees[a] + (b,), reverse=True)),
+                    _graft(sorted(subtrees[b] + (a,), reverse=True)),
                 )
 
 
-def _tree_from_levels(levels: list[int]) -> Graph:
+def _tree_from_levels(levels: tuple[int, ...]) -> Graph:
     """The tree of a level sequence: vertex i sits at depth levels[i] and
     hangs from the nearest earlier vertex one level up."""
     last: dict[int, int] = {}
@@ -412,9 +408,8 @@ def _canonical_trees(n: int) -> list[tuple[str, Graph]]:
     canonical form, each tree labelled by its canonical level sequence."""
     if n < 1:
         raise ValueError("n must be positive")
-    levels = [_code_to_levels(code) for code in _free_tree_codes(n)]
-    forms = sorted((".".join(map(str, lv)), lv) for lv in levels)
-    return [(c, _tree_from_levels(lv)) for c, lv in forms]
+    forms = sorted((".".join(map(str, code)), code) for code in _free_tree_codes(n))
+    return [(c, _tree_from_levels(code)) for c, code in forms]
 
 
 def enumerate_trees(n: int) -> list[Graph]:

@@ -425,16 +425,16 @@ def _best_alpha(recs: list[QsprRecord], y: list[float], curve: list, grid: Alpha
 
 
 def _golden_section_max(
-    fun, lo: float, hi: float, tol: float, seed: tuple[float, float] | None = None
+    fun, lo: float, hi: float, tol: float, seed: tuple[float, float]
 ) -> float:
     """Golden-section search for the maximizer of fun on [lo, hi].
 
-    Returns the best point actually evaluated (optionally seeded with an
-    already-known (x, fun(x)) pair), so refinement never loses to the
+    Returns the best point among the evaluated ones and `seed`, an
+    already-known (x, fun(x)) pair, so refinement never loses to the
     starting grid point.
     """
     a, b = float(lo), float(hi)
-    best_x, best_f = seed if seed is not None else ((a + b) / 2.0, -math.inf)
+    best_x, best_f = seed
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fun(c), fun(d)

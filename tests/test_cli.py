@@ -72,6 +72,25 @@ def test_compute_json(capsys, p3_file, tmp_path):
     assert by_q["mSO[0-limit]"] == pytest.approx(2 * math.sqrt(2), rel=1e-15)
 
 
+def test_compute_csv_reads_back_whole(capsys, tmp_path):
+    # two KA labels hold commas, so they must come quoted
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("4\n0 1\n1 2\n2 3\n")
+    code, out, _ = run(capsys, "compute", "--graph", str(p4), "--alpha", "0.5")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["quantity", "value"]
+    assert all(len(r) == 2 for r in rows)
+    code, out, _ = run(
+        capsys, "compute", "--graph", str(p4), "--alpha", "0.5", "--format", "json"
+    )
+    assert code == 0
+    by_q = {r["quantity"]: r["value"] for r in json.loads(out)}
+    table = {q: float(v) for q, v in rows[1:]}
+    assert table == by_q
+    assert "2^-2*KA1[0.5,2]" in table and "2^-1/3*KA1[3,1/3]" in table
+
+
 def test_compute_near_zero_exponent(capsys, p3_file):
     # the kernel used to print the maximum, mSO[1e-300] = 4
     code, out, _ = run(capsys, "compute", "--graph", str(p3_file), "--alpha", "1e-300")

@@ -205,6 +205,50 @@ def test_canonical_form_rejects_non_trees(k3):
         canonical_form(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+# The 18 octane skeletons' canonical strings, in manifest order: the
+# centroid-rooted level sequence, each vertex's subtrees in descending
+# order, the smaller rooting taken when there are two centroids.
+OCTANE_CANONICAL = (
+    "0.1.2.1.2.1.2.1", "0.1.2.2.1.2.1.1", "0.1.2.2.1.2.1.2", "0.1.2.2.1.2.2.1",
+    "0.1.2.2.2.1.1.1", "0.1.2.2.2.1.2.1", "0.1.2.2.2.1.2.2", "0.1.2.3.1.2.1.1",
+    "0.1.2.3.1.2.1.2", "0.1.2.3.1.2.2.1", "0.1.2.3.1.2.2.2", "0.1.2.3.1.2.3.1",
+    "0.1.2.3.2.1.2.1", "0.1.2.3.2.1.2.2", "0.1.2.3.2.1.2.3", "0.1.2.3.3.1.2.2",
+    "0.1.2.3.3.1.2.3", "0.1.2.3.4.1.2.3",
+)
+
+
+def test_octane_canonical_forms_are_pinned():
+    assert tuple(s.canonical for s in enumerate_octane_skeletons()) == OCTANE_CANONICAL
+
+
+def test_canonical_form_takes_the_smaller_rooting_at_two_centroids():
+    # vertex 0 carries three leaves and vertex 5 two; the centroids are 0
+    # and 4, and the rooting at 4 (0.1.2.2.2.1.2.2) sorts before the rooting
+    # at 0 (0.1.2.3.3.1.1.1)
+    t = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6), (5, 7)])
+    assert tree_centroids(t) == [0, 4]
+    assert canonical_form(t) == "0.1.2.2.2.1.2.2"
+
+
+def _levels(*runs):
+    return ".".join(map(str, itertools.chain(*runs)))
+
+
+def test_canonical_form_of_the_deepest_trees_parse_graph_accepts():
+    # heights of 2,048 and 1,365: a recursion per level would pass the
+    # default limit of 1,000
+    path = path_graph(MAX_VERTICES)
+    assert canonical_form(path) == _levels([0], range(1, 2049), range(1, 2048))
+    assert tree_centroids(path) == [2047, 2048]
+    leg = 1365
+    spider = Graph.from_edges(
+        3 * leg + 1,
+        [(0 if i % leg == 0 else i, i + 1) for i in range(3 * leg)],
+    )
+    assert canonical_form(spider) == _levels([0], *[range(1, leg + 1)] * 3)
+    assert tree_centroids(spider) == [0]
+
+
 # Free trees on n = 1..14 vertices (OEIS A000055), and those with maximum
 # degree <= 4 (OEIS A000602).
 A000055 = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159)
