@@ -34,8 +34,8 @@ from .indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
+    SPECIAL_VALUES,
     ZERO_LIMIT,
-    classical_index,
     mean_sombor,
     parse_alpha,
     power_mean,

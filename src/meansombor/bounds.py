@@ -37,9 +37,9 @@ from .indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
+    SPECIAL_VALUES,
     ZERO_LIMIT,
     first_zagreb,
-    inverse_sum_indeg,
     ka_index,
     mean_sombor,
     reciprocal_randic,
@@ -152,15 +152,11 @@ def check_monotonicity(g: Graph, a1: Alpha, a2: Alpha, graph_id: str = "") -> Bo
 
 def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
     """The five-term special-value chain
-    2 ISI <= R^{-1} <= 2^{-2} KA(1/2,2) <= M1/2 <= 2^{-1/2} SO,
-    each term computed once from its own classical edge/vertex sum."""
-    terms = [
-        2.0 * inverse_sum_indeg(g),
-        reciprocal_randic(g),
-        0.25 * ka_index(g, 0.5, 2.0),
-        first_zagreb(g) / 2.0,
-        2.0**-0.5 * sombor(g),
-    ]
+    2 ISI <= R^{-1} <= 2^{-2} KA(1/2,2) <= M1/2 <= 2^{-1/2} SO:
+    mSO's monotonicity through the rows of `indices.SPECIAL_VALUES` at
+    a = -1, 0, 1/2, 1 and 2, each term computed once from the row's own
+    classical edge/vertex sum, not through the power mean."""
+    terms = [fn(g) for a, _, fn in SPECIAL_VALUES if -1.0 <= a <= 2.0]
     ids = ("chain-2isi-r1", "chain-r1-ka", "chain-ka-m1", "chain-m1-so")
     balanced = all_components_regular(g)
     return [

@@ -27,21 +27,7 @@ from .graphs import (
     random_connected_graphs,
     to_edge_list_text,
 )
-from .indices import (
-    ALPHA_MINUS_INF,
-    ALPHA_PLUS_INF,
-    Alpha,
-    ZERO_LIMIT,
-    first_zagreb,
-    inverse_sum_indeg,
-    ka_index,
-    max_edge_sum,
-    mean_sombor,
-    min_edge_sum,
-    parse_alpha,
-    reciprocal_randic,
-    sombor,
-)
+from .indices import SPECIAL_VALUES, mean_sombor, parse_alpha
 from .qspr import (
     AlphaGrid,
     RegressionReport,
@@ -87,20 +73,6 @@ def cli() -> None:
     """Mean Sombor index toolkit: computation, verification, QSPR."""
 
 
-# Table-2 panel: (alpha, label of the equivalent classical expression,
-# evaluator of that expression).
-_TABLE2 = (
-    (ALPHA_MINUS_INF, "SP-min", min_edge_sum),
-    (Alpha.finite(-1), "2*ISI", lambda g: 2.0 * inverse_sum_indeg(g)),
-    (ZERO_LIMIT, "R^-1", reciprocal_randic),
-    (Alpha.finite(0.5), "2^-2*KA1[0.5,2]", lambda g: 0.25 * ka_index(g, 0.5, 2.0)),
-    (Alpha.finite(1), "M1/2", lambda g: first_zagreb(g) / 2.0),
-    (Alpha.finite(2), "2^-1/2*SO", lambda g: 2.0**-0.5 * sombor(g)),
-    (Alpha.finite(3), "2^-1/3*KA1[3,1/3]", lambda g: 2.0 ** (-1 / 3) * ka_index(g, 3.0, 1 / 3)),
-    (ALPHA_PLUS_INF, "SP-max", max_edge_sum),
-)
-
-
 @cli.command()
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--alpha", "alpha_spec", required=True, help="exponent: decimal, '0', 'inf', '-inf'")
@@ -111,7 +83,7 @@ def compute(graph_path: str, alpha_spec: str, fmt: str, out: str | None) -> None
     g = _read_graph(graph_path)
     a = parse_alpha(alpha_spec)
     rows: list[tuple[str, float]] = [(f"mSO[{a.token()}]", mean_sombor(g, a))]
-    for special, label, fn in _TABLE2:
+    for special, label, fn in SPECIAL_VALUES:
         rows.append((f"mSO[{special.token()}]", mean_sombor(g, special)))
         rows.append((label, fn(g)))
     if fmt == "json":

@@ -303,9 +303,12 @@ def tree_centroids(g: Graph) -> list[int]:
     """The one or two centroids of a tree, whose removal leaves no component
     above half the vertices: walk from vertex 0 into the child subtree
     holding more than half until none does; a child subtree holding exactly
-    half is rooted at the second centroid."""
+    half is rooted at the second centroid.  Raises ValueError on a graph
+    that is not a tree."""
     n = g.vertex_count
     parent, order = _bfs(g, 0)
+    if len(order) != n or g.edge_count != n - 1:
+        raise ValueError("centroids are defined for trees only")
     size = [1] * n
     for u in reversed(order[1:]):
         size[parent[u]] += size[u]
@@ -342,9 +345,8 @@ def canonical_form(g: Graph) -> str:
     Two trees get the same string iff they are isomorphic; the string doubles
     as the manifest label for enumerated skeletons.  Nothing recurses, so
     every tree parse_graph accepts works under the default recursion limit.
+    Raises ValueError, through tree_centroids, on a graph that is not a tree.
     """
-    if not is_connected(g) or g.edge_count != g.vertex_count - 1:
-        raise ValueError("canonical_form is defined for trees only")
     return ".".join(map(str, min(_rooted_code(g, c) for c in tree_centroids(g))))
 
 

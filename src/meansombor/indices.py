@@ -9,7 +9,10 @@ the limit points.  Summing PM over the endpoint degrees of every edge
 gives the mean Sombor index; fixing the exponent recovers a family of
 classical degree-based indices (inverse sum indeg, reciprocal Randic,
 first Zagreb, Sombor, the (a,b)-KA family, and the min/max edge sums).
-Every edge sum reads the graph's degree-pair profile through
+:data:`SPECIAL_VALUES` is the paper's Table 2, the one list of those
+exponents with the classical expression mSO equals there; the CLI's
+`compute` prints it and :func:`bounds.check_chain` orders its rows from
+-1 to 2.  Every edge sum reads the graph's degree-pair profile through
 :func:`pair_sum`.
 """
 
@@ -258,42 +261,17 @@ def max_edge_sum(g: Graph) -> float:
     return pair_sum(g, max)
 
 
-_PARAMLESS = {
-    "isi": inverse_sum_indeg,
-    "r-1": reciprocal_randic,
-    "m1": first_zagreb,
-    "so": sombor,
-    "sp-min": min_edge_sum,
-    "sp-max": max_edge_sum,
-}
-
-
-def classical_index(
-    g: Graph,
-    which: str,
-    alpha: float | None = None,
-    beta: float | None = None,
-) -> float:
-    """Evaluate a named classical index.
-
-    Parameterless names: isi, r-1, m1, so, sp-min, sp-max.  'm1-var' and
-    'so-alpha' need alpha; 'ka1' needs alpha and beta.
-    """
-    key = which.strip().lower()
-    if key in _PARAMLESS:
-        if alpha is not None or beta is not None:
-            raise ValueError(f"index {which!r} takes no parameters")
-        return _PARAMLESS[key](g)
-    if key == "m1-var":
-        if alpha is None or beta is not None:
-            raise ValueError("m1-var needs alpha only (computes sum of d^(alpha+1))")
-        return variable_first_zagreb(g, alpha + 1.0)
-    if key == "so-alpha":
-        if alpha is None or beta is not None:
-            raise ValueError("so-alpha needs alpha only")
-        return alpha_sombor(g, alpha)
-    if key == "ka1":
-        if alpha is None or beta is None:
-            raise ValueError("ka1 needs both alpha and beta")
-        return ka_index(g, alpha, beta)
-    raise ValueError(f"unknown index name {which!r}")
+# Table 2 of the paper: at these exponents mSO equals a classical index.
+# Rows (exponent, label of the classical expression, its evaluator) in
+# ascending exponent order; the rows from -1 to 2 are the special-value
+# chain that bounds.check_chain orders.
+SPECIAL_VALUES: tuple[tuple[Alpha, str, Callable[[Graph], float]], ...] = (
+    (ALPHA_MINUS_INF, "SP-min", min_edge_sum),
+    (Alpha.finite(-1), "2*ISI", lambda g: 2.0 * inverse_sum_indeg(g)),
+    (ZERO_LIMIT, "R^-1", reciprocal_randic),
+    (Alpha.finite(0.5), "2^-2*KA1[0.5,2]", lambda g: 0.25 * ka_index(g, 0.5, 2.0)),
+    (Alpha.finite(1), "M1/2", lambda g: first_zagreb(g) / 2.0),
+    (Alpha.finite(2), "2^-1/2*SO", lambda g: 2.0**-0.5 * sombor(g)),
+    (Alpha.finite(3), "2^-1/3*KA1[3,1/3]", lambda g: 2.0 ** (-1 / 3) * ka_index(g, 3.0, 1 / 3)),
+    (ALPHA_PLUS_INF, "SP-max", max_edge_sum),
+)

@@ -233,6 +233,8 @@ def load_dataset(graphs: Sequence[NamedGraph], properties_csv: str) -> QsprDatas
     if not header or header[0].strip().lower() != "name":
         raise ValueError("properties CSV header must start with 'name'")
     prop_names = tuple(h.strip() for h in header[1:])
+    if "" in prop_names:
+        raise ValueError(f"properties CSV header column {prop_names.index('') + 2} is empty")
     if len(set(prop_names)) != len(prop_names):
         raise ValueError("duplicate property column in CSV header")
 
@@ -392,7 +394,7 @@ def scan_properties(
         rows = [i for i, rec in enumerate(ds.records) if prop in rec.properties]
         y = [rec.properties[prop] for rec in recs]
         curve = list(zip(points, _pearson_columns(x_all[rows], y).tolist()))
-        scans.append((qspr_at_alpha(ds, prop, _best_alpha(recs, y, curve, grid)), curve))
+        scans.append((_best_alpha(ds, prop, curve, grid), curve))
     return scans
 
 
@@ -403,10 +405,9 @@ def alpha_scan(
     return scan_properties(ds, [prop], grid)[0]
 
 
-def _best_alpha(recs: list[QsprRecord], y: list[float], curve: list, grid: AlphaGrid) -> Alpha:
-    def r_at(a: Alpha) -> float:
-        return fit_linear([mean_sombor(rec.graph, a) for rec in recs], y).r
-
+def _best_alpha(ds: QsprDataset, prop: str, curve: list, grid: AlphaGrid) -> RegressionReport:
+    """The report of the best exponent: the best finite grid point refined
+    by golden section, against the three limit points."""
     best_finite, best_finite_r = min(
         ((a, r) for a, r in curve if a.is_finite),
         key=lambda ar: (-abs(ar[1]), abs(ar[0])),
@@ -414,14 +415,17 @@ def _best_alpha(recs: list[QsprRecord], y: list[float], curve: list, grid: Alpha
     lo = max(best_finite - grid.step, grid.lo)
     hi = min(best_finite + grid.step, grid.hi)
     refined = _golden_section_max(
-        lambda v: abs(r_at(Alpha(v))),
+        lambda v: abs(qspr_at_alpha(ds, prop, Alpha(v)).r),
         lo,
         hi,
         tol=1e-3,
         seed=(best_finite, abs(best_finite_r)),
     )
-    candidates = [Alpha(refined), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
-    return min(candidates, key=lambda a: (-abs(r_at(a)), abs(a), a))
+    candidates = (Alpha(refined), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF)
+    return min(
+        (qspr_at_alpha(ds, prop, a) for a in candidates),
+        key=lambda rep: (-abs(rep.r), abs(rep.alpha), rep.alpha),
+    )
 
 
 def _golden_section_max(

@@ -43,10 +43,14 @@ from meansombor.indices import (
     ALPHA_PLUS_INF,
     Alpha,
     ZERO_LIMIT,
-    classical_index,
     edge_terms,
+    first_zagreb,
+    inverse_sum_indeg,
+    ka_index,
     mean_sombor,
     power_mean,
+    reciprocal_randic,
+    sombor,
 )
 from meansombor.qspr import alpha_scan, f_significance, load_dataset, qspr_at_alpha
 from meansombor.spectral import (
@@ -137,11 +141,11 @@ def test_criterion_3_chain(corpus, fuzz_graphs):
     for named in corpus + fuzz_graphs:
         g = named.graph
         values = [
-            2.0 * classical_index(g, "isi"),
-            classical_index(g, "r-1"),
-            0.25 * classical_index(g, "ka1", alpha=0.5, beta=2),
-            classical_index(g, "m1") / 2.0,
-            2.0**-0.5 * classical_index(g, "so"),
+            2.0 * inverse_sum_indeg(g),
+            reciprocal_randic(g),
+            0.25 * ka_index(g, 0.5, 2.0),
+            first_zagreb(g) / 2.0,
+            2.0**-0.5 * sombor(g),
         ]
         tol = 1e-9 * (1.0 + max(values))
         links_equal = True

@@ -203,6 +203,9 @@ def test_canonical_form_rejects_non_trees(k3):
         canonical_form(k3)
     with pytest.raises(ValueError):
         canonical_form(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    for g in (cycle_graph(6), Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])):
+        with pytest.raises(ValueError, match="trees only"):
+            tree_centroids(g)
 
 
 # The 18 octane skeletons' canonical strings, in manifest order: the

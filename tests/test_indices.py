@@ -32,9 +32,11 @@ from meansombor.indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
+    SPECIAL_VALUES,
     ZERO_LIMIT,
-    classical_index,
+    alpha_sombor,
     descriptor_matrix,
+    first_zagreb,
     inverse_sum_indeg,
     ka_index,
     max_edge_sum,
@@ -45,6 +47,7 @@ from meansombor.indices import (
     power_mean_grid,
     reciprocal_randic,
     sombor,
+    variable_first_zagreb,
 )
 from meansombor.qspr import AlphaGrid
 from meansombor.spectral import edge_term_stats
@@ -312,52 +315,52 @@ def test_monotone_in_alpha_small():
 # ---------------------------------------------------------------------------
 
 def test_classical_examples(p3, k3, k13):
-    assert classical_index(k13, "m1") == 12.0
-    assert classical_index(k13, "isi") == pytest.approx(2.25, rel=1e-14)
-    assert classical_index(p3, "so") == pytest.approx(2 * math.sqrt(5), rel=1e-14)
-    assert classical_index(k3, "ka1", alpha=3, beta=1 / 3) == pytest.approx(
-        3 * 16 ** (1 / 3), rel=1e-14
-    )
-
-
-def test_classical_errors(p3):
-    with pytest.raises(ValueError):
-        classical_index(p3, "nope")
-    with pytest.raises(ValueError):
-        classical_index(p3, "ka1", alpha=1.0)  # missing beta
-    with pytest.raises(ValueError):
-        classical_index(p3, "m1", alpha=2.0)  # spurious parameter
+    assert first_zagreb(k13) == 12.0
+    assert inverse_sum_indeg(k13) == pytest.approx(2.25, rel=1e-14)
+    assert sombor(p3) == pytest.approx(2 * math.sqrt(5), rel=1e-14)
+    assert ka_index(k3, 3, 1 / 3) == pytest.approx(3 * 16 ** (1 / 3), rel=1e-14)
 
 
 def test_special_case_identities_on_corpus():
     corpus = default_corpus() + random_connected_graphs(25, seed=9)
     for named in corpus:
         g = named.graph
-        m1 = classical_index(g, "m1")
+        m1 = first_zagreb(g)
         assert mean_sombor(g, Alpha.finite(-1)) == pytest.approx(
-            2 * classical_index(g, "isi"), rel=1e-12
+            2 * inverse_sum_indeg(g), rel=1e-12
         )
-        assert mean_sombor(g, ZERO_LIMIT) == pytest.approx(
-            classical_index(g, "r-1"), rel=1e-12
-        )
+        assert mean_sombor(g, ZERO_LIMIT) == pytest.approx(reciprocal_randic(g), rel=1e-12)
         assert mean_sombor(g, Alpha.finite(1)) == pytest.approx(m1 / 2, rel=1e-12)
         assert mean_sombor(g, Alpha.finite(2)) == pytest.approx(
-            2**-0.5 * classical_index(g, "so"), rel=1e-12
+            2**-0.5 * sombor(g), rel=1e-12
         )
         assert mean_sombor(g, Alpha.finite(0.5)) == pytest.approx(
-            2**-2 * classical_index(g, "ka1", alpha=0.5, beta=2), rel=1e-12
+            2**-2 * ka_index(g, 0.5, 2), rel=1e-12
         )
         for alpha in (0.5, 3, -2.5):
             assert mean_sombor(g, Alpha.finite(alpha)) == pytest.approx(
-                2 ** (-1 / alpha) * classical_index(g, "ka1", alpha=alpha, beta=1 / alpha),
+                2 ** (-1 / alpha) * ka_index(g, alpha, 1 / alpha),
                 rel=1e-12,
             )
             assert mean_sombor(g, Alpha.finite(alpha)) == pytest.approx(
-                2 ** (-1 / alpha) * classical_index(g, "so-alpha", alpha=alpha),
+                2 ** (-1 / alpha) * alpha_sombor(g, alpha),
                 rel=1e-12,
             )
-        assert mean_sombor(g, ALPHA_MINUS_INF) == classical_index(g, "sp-min")
-        assert mean_sombor(g, ALPHA_PLUS_INF) == classical_index(g, "sp-max")
+        assert mean_sombor(g, ALPHA_MINUS_INF) == min_edge_sum(g)
+        assert mean_sombor(g, ALPHA_PLUS_INF) == max_edge_sum(g)
+
+
+def test_special_values_table_matches_mean_sombor():
+    # the Table-2 rows that compute prints and check_chain orders
+    exponents = [a for a, _, _ in SPECIAL_VALUES]
+    assert all(a1 < a2 for a1, a2 in zip(exponents, exponents[1:]))
+    for named in default_corpus() + random_connected_graphs(25, seed=9):
+        g = named.graph
+        for a, label, fn in SPECIAL_VALUES:
+            if math.isinf(a):
+                assert fn(g) == mean_sombor(g, a), (named.name, label)
+            else:
+                assert fn(g) == pytest.approx(mean_sombor(g, a), rel=1e-12), (named.name, label)
 
 
 def test_variable_first_zagreb_equals_edge_sum():
@@ -366,7 +369,7 @@ def test_variable_first_zagreb_equals_edge_sum():
         g = named.graph
         deg = g.degrees
         for alpha in (-2, -0.5, 1, 2.5):
-            lhs = classical_index(g, "m1-var", alpha=alpha)
+            lhs = variable_first_zagreb(g, alpha + 1.0)
             rhs = sum(deg[u] ** alpha + deg[v] ** alpha for u, v in g.edges)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 

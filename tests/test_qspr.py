@@ -218,6 +218,9 @@ def test_load_rejects_rows_longer_than_header():
 def test_load_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         load_dataset(SKELETONS, "molecule,A\nn-octane,1\n")
+    for header in ("name,,BP", "name, ,BP"):
+        with pytest.raises(ValueError, match="header column 2"):
+            load_dataset(SKELETONS, header + "\nn-octane,1,2\n")
 
 
 def test_load_rejects_duplicate_graph_names():
