@@ -19,8 +19,12 @@ import io
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import IO, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, repeat
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .graphs import (
     Graph,
@@ -42,6 +46,7 @@ from .indices import (
     first_zagreb,
     ka_index,
     mean_sombor,
+    power_mean_grid,
     reciprocal_randic,
     sombor,
     variable_first_zagreb,
@@ -90,10 +95,36 @@ VARIANCE_ALPHAS: tuple[Alpha, ...] = (
 )
 
 
+class Verdict(NamedTuple):
+    """The verdict of a report row, or of columns of rows."""
+
+    slack: float
+    tol: float
+    passed: bool
+    equality_observed: bool
+    ok: bool
+
+
+def verdict(lhs, rhs, predicted, applicable=True, strict=False) -> Verdict:
+    """The verdict on lhs <= rhs: slack = rhs - lhs passes when slack >= -tol,
+    tol = 1e-9 (1 + |lhs| + |rhs|); ok also needs, where applicable, the
+    predicted equality to be the observed one, and where a strict gap is
+    expected, slack > 1e-12 (1 + |lhs| + |rhs|).  Takes floats and bools or
+    numpy columns of them, with the same IEEE operations either way, so a
+    row and a column entry agree bit for bit.  On bools `p <= q` is "p implies q".
+    """
+    slack = rhs - lhs
+    scale = 1.0 + abs(lhs) + abs(rhs)
+    tol = 1e-9 * scale
+    passed, observed = slack >= -tol, abs(slack) <= tol
+    ok = passed & (applicable <= (predicted == observed)) & (strict <= (slack > 1e-12 * scale))
+    return Verdict(slack, tol, passed, observed, ok)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of one inequality check, oriented so that lhs <= rhs is the
-    claim (slack = rhs - lhs >= -tol means pass)."""
+    claim (slack = rhs - lhs >= -tol means pass); see `verdict`."""
 
     bound_id: str
     graph_id: str
@@ -105,32 +136,15 @@ class BoundReport:
     strict_expected: bool = False
 
     @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
+    def verdict(self) -> Verdict:
+        flags = (self.equality_predicted, self.equality_applicable, self.strict_expected)
+        return verdict(self.lhs, self.rhs, *flags)
 
-    @property
-    def tol(self) -> float:
-        return 1e-9 * (1.0 + abs(self.lhs) + abs(self.rhs))
-
-    @property
-    def passed(self) -> bool:
-        return self.slack >= -self.tol
-
-    @property
-    def equality_observed(self) -> bool:
-        return abs(self.slack) <= self.tol
-
-    @property
-    def ok(self) -> bool:
-        """Pass plus, where applicable, the equality biconditional and the
-        expected strictness."""
-        if not self.passed:
-            return False
-        if self.equality_applicable and self.equality_predicted != self.equality_observed:
-            return False
-        if self.strict_expected and not self.slack > 1e-12 * (1.0 + abs(self.lhs) + abs(self.rhs)):
-            return False
-        return True
+    slack = property(lambda self: self.verdict.slack)
+    tol = property(lambda self: self.verdict.tol)
+    passed = property(lambda self: self.verdict.passed)
+    equality_observed = property(lambda self: self.verdict.equality_observed)
+    ok = property(lambda self: self.verdict.ok)
 
 
 def check_monotonicity(g: Graph, a1: Alpha, a2: Alpha, graph_id: str = "") -> BoundReport:
@@ -150,6 +164,9 @@ def check_monotonicity(g: Graph, a1: Alpha, a2: Alpha, graph_id: str = "") -> Bo
     )
 
 
+_CHAIN_IDS = ("chain-2isi-r1", "chain-r1-ka", "chain-ka-m1", "chain-m1-so")
+
+
 def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
     """The five-term special-value chain
     2 ISI <= R^{-1} <= 2^{-2} KA(1/2,2) <= M1/2 <= 2^{-1/2} SO:
@@ -157,7 +174,6 @@ def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
     a = -1, 0, 1/2, 1 and 2, each term computed once from the row's own
     classical edge/vertex sum, not through the power mean."""
     terms = [fn(g) for a, _, fn in SPECIAL_VALUES if -1.0 <= a <= 2.0]
-    ids = ("chain-2isi-r1", "chain-r1-ka", "chain-ka-m1", "chain-m1-so")
     balanced = all_components_regular(g)
     return [
         BoundReport(
@@ -169,7 +185,7 @@ def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
             equality_predicted=balanced,
             strict_expected=not balanced,
         )
-        for bid, lhs, rhs in zip(ids, terms, terms[1:])
+        for bid, lhs, rhs in zip(_CHAIN_IDS, terms, terms[1:])
     ]
 
 
@@ -388,48 +404,201 @@ def checks_for_graph(named: NamedGraph) -> list[BoundReport]:
     return out
 
 
-@dataclass(frozen=True)
-class VerificationTable:
-    """The rows of a sweep, stored once per profile key.
+# Every exponent at which the battery takes mSO.
+BATTERY_EXPONENTS: tuple[Alpha, ...] = tuple(sorted({
+    *MONOTONICITY_GRID, *SANDWICH_ALPHAS, *VARIANCE_ALPHAS,
+    *map(Alpha.finite, JENSEN_ALPHAS + KALPHA_ALPHAS + (2.0,)),
+}))
 
-    `batteries` maps each (degree pairs, vertex count, connected) key to the
-    rows of `checks_for_graph` for the first graph with that key; `graphs`
-    lists every (graph_id, key) in corpus order.  Iterating the table yields
-    each graph's rows under its own graph_id, the same `BoundReport` rows in
-    the same order as running `checks_for_graph` on every graph, and it may
-    be iterated more than once.
+
+def _powers(column: np.ndarray, p: float) -> np.ndarray:
+    """Each entry to the power p, by CPython's `**` (numpy's power can
+    round differently)."""
+    return np.array([v**p for v in column.tolist()], dtype=float)
+
+
+class _Multisets:
+    """One multiset of items per key.  A key's sum of per-item terms is one
+    `math.fsum` over its items repeated by count: fsum is correctly rounded,
+    so that is the sum over the edges (vertices) they count, bit for bit."""
+
+    def __init__(self, multisets: Sequence[Sequence[tuple]]) -> None:
+        self.items = sorted({x for ms in multisets for x, _ in ms})
+        index = {x: i for i, x in enumerate(self.items)}
+        flat = [xc for ms in multisets for xc in ms]
+        positions = np.array([index[x] for x, _ in flat], dtype=np.intp)
+        self._spread = np.repeat(positions, [c for _, c in flat])
+        ends = list(accumulate((sum(c for _, c in ms) for ms in multisets), initial=0))
+        self._spans = list(zip(ends, ends[1:]))
+
+    def spread(self, terms: Sequence[float]) -> np.ndarray:
+        """Per-item terms (indexed like `items`) repeated by count, key after key."""
+        return np.asarray(terms, dtype=float)[self._spread]
+
+    def fsums(self, spread: list[float]) -> np.ndarray:
+        """Each key's fsum of terms laid out as `spread` lays them."""
+        return np.array([math.fsum(spread[s:e]) for s, e in self._spans], dtype=float)
+
+    def sums(self, terms: Sequence[float]) -> np.ndarray:
+        return self.fsums(self.spread(terms).tolist())
+
+    def extremes(self, terms: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's largest and smallest term."""
+        spread, starts = self.spread(terms), [s for s, _ in self._spans]
+        return np.maximum.reduceat(spread, starts), np.minimum.reduceat(spread, starts)
+
+
+class _KeyColumns:
+    """The battery's inputs for the profile keys of one sweep, each a column
+    with one entry per key, from one graph per key.  mSO comes from one
+    `power_mean_grid` table over the keys' distinct degree pairs and
+    `BATTERY_EXPONENTS`; every other term is taken once per distinct pair or
+    degree.  Edge sums run over each key's degree pairs and vertex sums over
+    its positive degrees, as `pair_sum` and `variable_first_zagreb` do."""
+
+    def __init__(self, graphs: Sequence[Graph], connected: Sequence[bool]) -> None:
+        self.edges = _Multisets([g.degree_pairs for g in graphs])
+        histograms = [sorted(Counter(g.degrees).items()) for g in graphs]
+        self.vertices = _Multisets([[(d, c) for d, c in h if d > 0] for h in histograms])
+        self.m = np.array([g.edge_count for g in graphs], dtype=np.int64)
+        self.m1 = np.array([float(sum(d * d * c for d, c in h)) for h in histograms])
+        self.extremes = [(h[0][0], h[-1][0]) for h in histograms]
+        tags = [regularity_class(g).tag for g in graphs]
+        self.regular = np.array([t is RegularityTag.REGULAR for t in tags], dtype=bool)
+        self.regular_or_biregular = np.array([t is not RegularityTag.NEITHER for t in tags], bool)
+        self.balanced = np.array([all_components_regular(g) for g in graphs], dtype=bool)
+        self.connected = np.array(connected, dtype=bool)
+        grid = power_mean_grid(self.edges.items, BATTERY_EXPONENTS)
+        self.pm = dict(zip(BATTERY_EXPONENTS, grid.T))
+        self.mso = {a: self.edges.sums(pm) for a, pm in self.pm.items()}
+
+    def variable_m1(self, p: float) -> np.ndarray:
+        """Each key's sum of d^p over its vertices of positive degree."""
+        return self.vertices.sums([d**p for d in self.vertices.items])
+
+    def jensen_rhs(self, alpha: float) -> np.ndarray:
+        """`_jensen_rhs` of each key."""
+        e = 1.0 / alpha
+        return _powers(self.m, 1.0 - e) / 2.0**e * _powers(self.variable_m1(alpha + 1.0), e)
+
+
+def _battery_rows(c: _KeyColumns) -> Iterator[tuple]:
+    """The rows of `checks_for_graph`, in its order, as columns over the keys:
+    (bound_id, alpha, lhs, rhs, equality_predicted, equality_applicable,
+    strict_expected), each flag a bool or a bool column.  Every value is
+    taken with the operations of the check it mirrors, in the same order,
+    at the sweep's exponents (no Jensen row at a = 1, no sandwich at a = 2)."""
+    balanced, unbalanced = c.balanced, ~c.balanced
+    for a1, a2 in zip(MONOTONICITY_GRID, MONOTONICITY_GRID[1:]):
+        yield "monotonicity", a2, c.mso[a1], c.mso[a2], balanced, True, unbalanced
+    pairs, edge_sums = c.edges.items, c.edges.sums
+    rr = edge_sums([math.sqrt(x * y) for x, y in pairs])
+    so = edge_sums([math.hypot(x, y) for x, y in pairs])
+    chain = [
+        2.0 * edge_sums([x * y / (x + y) for x, y in pairs]),
+        rr,
+        0.25 * edge_sums([(x**0.5 + y**0.5) ** 2.0 for x, y in pairs]),
+        c.m1 / 2.0,
+        2.0**-0.5 * so,
+    ]
+    for bound_id, lhs, rhs in zip(_CHAIN_IDS, chain, chain[1:]):
+        yield bound_id, None, lhs, rhs, balanced, True, unbalanced
+    for alpha in JENSEN_ALPHAS:
+        mso, bound = c.mso[alpha], c.jensen_rhs(alpha)
+        lhs, rhs = (mso, bound) if alpha >= 1.0 else (bound, mso)
+        yield "jensen-m1", Alpha.finite(alpha), lhs, rhs, c.regular_or_biregular, c.connected, False
+    for alpha in KALPHA_ALPHAS:
+        k = {e: kalpha_constant(*e, alpha) for e in set(c.extremes)}
+        rhs = c.jensen_rhs(alpha) * np.array([k[e] for e in c.extremes])
+        yield "kalpha", Alpha.finite(alpha), c.mso[alpha], rhs, c.regular, True, False
+    upper = 2.0**-0.5 * so
+    for a in SANDWICH_ALPHAS:
+        mso = c.mso[a]
+        if 0.0 < a < 2.0:
+            yield "so-sandwich-lower", a, 2.0 ** (-1.0 / a) * so, mso, False, True, unbalanced
+            yield "so-sandwich-upper", a, mso, upper, balanced, True, False
+        elif a > 2.0:
+            yield "so-sandwich-lower", a, upper, mso, balanced, True, False
+            strict = c.m > 0 if math.isinf(a) else unbalanced
+            yield "so-sandwich-upper", a, mso, 2.0 ** (-1.0 / a) * so, False, True, strict
+        else:
+            yield "so-sandwich-upper", a, mso, upper, balanced, True, False
+    for alpha in POWERSUM_ALPHAS:
+        terms = [x**alpha + y**alpha for x, y in pairs]
+        top, bottom = c.edges.extremes(terms)
+        vm1 = c.variable_m1(alpha + 1.0)
+        for beta in POWERSUM_BETAS:
+            ka = edge_sums([t**beta for t in terms])
+            base = _powers(c.m, 1.0 - beta) * _powers(vm1, beta)
+            lhs, rhs = (base, ka) if beta <= 0.0 or beta >= 1.0 else (ka, base)
+            predicted = beta in (0.0, 1.0) or top - bottom <= 1e-12 * top
+            yield f"ka-powersum(b={beta:g})", Alpha.finite(alpha), lhs, rhs, predicted, True, False
+    yield "mso2-m1-m2", Alpha.finite(2), c.mso[2.0], c.m1 - rr, balanced, True, False
+    for a in VARIANCE_ALPHAS:
+        mso, pm = c.mso[a], c.pm[a]
+        mean = mso / c.m
+        deviations = (c.edges.spread(pm) - np.repeat(mean, c.m)).tolist()
+        sigma2 = c.edges.fsums([d**2 for d in deviations]) / c.m
+        tr = 2.0 * edge_sums([v**2 for v in pm.tolist()])
+        radicand = (c.m / 2.0) * tr - c.m * c.m * sigma2
+        yield "variance-identity", a, mso, np.sqrt(np.maximum(radicand, 0.0)), True, True, False
+
+
+@dataclass(frozen=True, eq=False)
+class VerificationTable:
+    """The rows of a sweep as (batteries, rows) columns over its profile keys.
+
+    Battery b holds the rows of every graph with the profile key
+    `batteries[b]` (degree pairs, vertex count, connected): row j is the
+    check `labels[j]` (bound_id, alpha) with lhs[b, j], rhs[b, j] and the
+    equality flags predicted, applicable and strict at [b, j].  `graphs`
+    lists every (graph_id, battery) in corpus order.  Iterating the table
+    builds each graph's `BoundReport` rows under its own graph_id.
     """
 
-    batteries: dict[tuple, list[BoundReport]]
-    graphs: list[tuple[str, tuple]]
+    labels: tuple[tuple[str, Alpha | None], ...]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    predicted: np.ndarray
+    applicable: np.ndarray
+    strict: np.ndarray
+    batteries: list[tuple]
+    graphs: list[tuple[str, int]]
+
+    @cached_property
+    def verdict(self) -> Verdict:
+        """The `verdict` of every row, as (batteries, rows) columns."""
+        return verdict(self.lhs, self.rhs, self.predicted, self.applicable, self.strict)
 
     def __len__(self) -> int:
-        return sum(len(self.batteries[key]) for _, key in self.graphs)
+        return len(self.graphs) * len(self.labels)
+
+    def _battery(self, b: int, graph_id: str) -> Iterator[BoundReport]:
+        columns = (self.lhs, self.rhs, self.predicted, self.applicable, self.strict)
+        for (bound_id, alpha), *values in zip(self.labels, *(c[b].tolist() for c in columns)):
+            yield BoundReport(bound_id, graph_id, alpha, *values)
 
     def __iter__(self) -> Iterator[BoundReport]:
-        for gid, key in self.graphs:
-            for r in self.batteries[key]:
-                yield r if r.graph_id == gid else replace(r, graph_id=gid)
+        for graph_id, b in self.graphs:
+            yield from self._battery(b, graph_id)
 
     def failures(self) -> tuple[int, BoundReport | None]:
-        """The number of rows that are not ok, and the first of them with the
-        smallest slack in row order (None when every row is ok).
-
-        Each battery's failures count once per graph sharing its key; the
-        worst row is reported under the first graph with its key.
-        """
-        weights = Counter(key for _, key in self.graphs)
-        first = {}
-        for gid, key in self.graphs:
-            first.setdefault(key, gid)
-        count, worst = 0, None
-        for key, gid in first.items():
-            bad = [r for r in self.batteries[key] if not r.ok]
-            count += weights[key] * len(bad)
-            for r in bad:
-                if worst is None or r.slack < worst.slack:
-                    worst = replace(r, graph_id=gid)
-        return count, worst
+        """The number of rows that are not ok, each battery's counted once per
+        graph with its key, and the first of them in row order with the
+        smallest slack, under the first graph with its key (None if all ok)."""
+        first: dict[int, str] = {}
+        for graph_id, b in self.graphs:
+            first.setdefault(b, graph_id)
+        order = list(first)
+        bad = ~self.verdict.ok[order]
+        if not bad.any():
+            return 0, None
+        uses = np.bincount(np.array([b for _, b in self.graphs], dtype=np.intp))
+        count = int(uses[order] @ bad.sum(axis=1))
+        candidates = np.flatnonzero(bad)
+        worst = candidates[np.argmin(self.verdict.slack[order].ravel()[candidates])]
+        i, j = divmod(int(worst), bad.shape[1])
+        return count, list(self._battery(order[i], first[order[i]]))[j]
 
 
 def run_verification(
@@ -440,24 +609,38 @@ def run_verification(
     """Sweep all checks over the corpus plus seeded random connected graphs.
 
     Every check is a function of the degree-pair profile, the vertex count
-    and connectivity, so the battery runs once per such key and the returned
-    table stores its rows once; iterating the table gives every graph's rows
-    under its own graph_id.  Nothing outlives this call but the table.  The
-    row order is deterministic for fixed inputs and equals running
-    `checks_for_graph` on every graph.
+    and connectivity, so the table holds one battery per such key, all
+    computed at once as columns over the keys.  A graph `checks_for_graph`
+    rejects raises its ValueError, before any battery is computed.  The rows
+    equal `checks_for_graph` on every graph in corpus order, bit for bit.
     """
     graphs = list(default_corpus() if corpus is None else corpus)
     if random_count > 0:
         graphs.extend(random_connected_graphs(random_count, seed))
-    batteries: dict[tuple, list[BoundReport]] = {}
-    keyed: list[tuple[str, tuple]] = []
+    batteries: dict[tuple, int] = {}
+    firsts: list[Graph] = []
+    keyed: list[tuple[str, int]] = []
     for named in graphs:
         g = named.graph
         key = (g.degree_pairs, g.vertex_count, is_connected(g))
         if key not in batteries:
-            batteries[key] = checks_for_graph(named)
-        keyed.append((named.name, key))
-    return VerificationTable(batteries, keyed)
+            # the errors checks_for_graph raises first: Jensen's, then K_alpha's
+            if g.edge_count == 0:
+                raise ValueError("the Jensen bound needs at least one edge")
+            if degree_extremes(g)[0] < 1:
+                raise ValueError("the converse-Holder bound needs minimum degree >= 1")
+            batteries[key] = len(firsts)
+            firsts.append(g)
+        keyed.append((named.name, batteries[key]))
+    rows = list(_battery_rows(_KeyColumns(firsts, [c for _, _, c in batteries])))
+
+    def stack(i: int, dtype: type) -> np.ndarray:
+        return np.stack([np.broadcast_to(r[i], len(firsts)) for r in rows], axis=1).astype(dtype)
+
+    return VerificationTable(
+        tuple(r[:2] for r in rows), stack(2, float), stack(3, float),
+        stack(4, bool), stack(5, bool), stack(6, bool), list(batteries), keyed,
+    )
 
 
 REPORT_COLUMNS = (
@@ -487,27 +670,27 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _row_tail(r: BoundReport) -> str:
-    """The CSV columns after graph_id, without the line end."""
-    return ",".join((
-        _csv_field(r.alpha.token()) if r.alpha is not None else "",
-        format(r.lhs, ".17g"),
-        format(r.rhs, ".17g"),
-        format(r.slack, ".17g"),
-        str(int(r.equality_predicted)),
-        str(int(r.equality_observed)),
-        str(int(r.equality_applicable)),
-        str(int(r.strict_expected)),
-        str(int(r.ok)),
+def _alpha_field(alpha: Alpha | None) -> str:
+    return _csv_field(alpha.token()) if alpha is not None else ""
+
+
+# The five flag columns of each bit pattern, most significant bit first.
+_FLAG_FIELDS = [",".join(format(i, "05b")) for i in range(32)]
+
+
+def _flag_bits(v: Verdict, predicted, applicable, strict) -> np.ndarray:
+    """Each row's five flag columns as a `_FLAG_FIELDS` index."""
+    flags = np.stack([predicted, v.equality_observed, applicable, strict, v.ok], axis=-1)
+    return flags @ np.array([16, 8, 4, 2, 1])
+
+
+def _tails(alphas, lhs, rhs, slack, bits, ends) -> list[str]:
+    """Each row's CSV text after its graph_id, from lists of its fields:
+    ',alpha,lhs,rhs,slack,<the five flags>', the line end, then `ends`."""
+    return list(map(
+        ",{},{:.17g},{:.17g},{:.17g},{}\n{}".format,
+        alphas, lhs, rhs, slack, map(_FLAG_FIELDS.__getitem__, bits), ends,
     ))
-
-
-def _lines_around_graph_id(rows: Sequence[BoundReport]) -> list[str]:
-    """The rows' CSV lines split at their graph_id fields, so that
-    `field.join(parts)` gives the lines of the rows under that graph_id."""
-    heads = [_csv_field(r.bound_id) + "," for r in rows]
-    tails = ["," + _row_tail(r) + "\n" for r in rows]
-    return [t + h for t, h in zip([""] + tails, heads + [""])]
 
 
 def write_reports_csv(
@@ -518,27 +701,38 @@ def write_reports_csv(
 ) -> None:
     """CSV of report rows; the fuzzing seed is recorded on a comment line.
 
-    A `VerificationTable` has each battery row formatted once, after
-    graph_id, and every graph sharing its key written as that text around
-    its own quoted graph_id; the text is dropped after the last such graph.
-    Any other iterable of rows goes through the same formatter row by row.
-    Quoting matches `csv.writer`.
+    A `VerificationTable` has each battery row formatted once, from its
+    columns, and every graph with the battery's key written as that text
+    around its own quoted graph_id.  Any other iterable of rows is taken
+    into columns and goes through the same formatter.  Quoting matches
+    `csv.writer`.
     """
     if seed is not None:
         stream.write(f"# seed={seed} random_graphs={random_count}\n")
     stream.write(",".join(REPORT_COLUMNS) + "\n")
     if isinstance(reports, VerificationTable):
+        t, v = reports, reports.verdict
+        heads = [_csv_field(bound_id) + "," for bound_id, _ in t.labels]
+        alphas, ends = [_alpha_field(a) for _, a in t.labels], [*heads[1:], ""]
+        bits = _flag_bits(v, t.predicted, t.applicable, t.strict)
         # a battery's text is kept only while graphs with its key remain
-        pending = Counter(key for _, key in reports.graphs)
-        texts: dict[tuple, list[str]] = {}
-        for gid, key in reports.graphs:
-            text = texts.pop(key, None)
-            if text is None:
-                text = _lines_around_graph_id(reports.batteries[key])
-            pending[key] -= 1
-            if pending[key]:
-                texts[key] = text
-            stream.write(_csv_field(gid).join(text))
+        pending = Counter(b for _, b in t.graphs)
+        texts: dict[int, list[str]] = {}
+        for graph_id, b in t.graphs:
+            if b not in texts:
+                fields = (t.lhs[b], t.rhs[b], v.slack[b], bits[b])
+                texts[b] = [heads[0], *_tails(alphas, *(f.tolist() for f in fields), ends)]
+            pending[b] -= 1
+            text = texts[b] if pending[b] else texts.pop(b)
+            stream.write(_csv_field(graph_id).join(text))
     else:
-        for r in reports:
-            stream.write(_csv_field(r.graph_id).join(_lines_around_graph_id([r])))
+        rows = list(reports)
+        lhs = np.array([r.lhs for r in rows], dtype=float)
+        rhs = np.array([r.rhs for r in rows], dtype=float)
+        names = ("equality_predicted", "equality_applicable", "strict_expected")
+        flags = [np.array([getattr(r, name) for r in rows], dtype=bool) for name in names]
+        v = verdict(lhs, rhs, *flags)
+        fields = (lhs, rhs, v.slack, _flag_bits(v, *flags))
+        alphas = [_alpha_field(r.alpha) for r in rows]
+        for r, tail in zip(rows, _tails(alphas, *(f.tolist() for f in fields), repeat(""))):
+            stream.write(f"{_csv_field(r.bound_id)},{_csv_field(r.graph_id)}{tail}")

@@ -40,9 +40,9 @@ from .qspr import (
 )
 from .spectral import (
     build_matrix,
-    edge_term_stats,
+    identity_residual,
     trace_of_square,
-    variance_identity_check,
+    variance_identity,
     write_matrix_csv,
 )
 
@@ -113,10 +113,13 @@ def matrix(graph_path: str, alpha_spec: str, out: str) -> None:
     Path(out).write_text(buf.getvalue(), encoding="utf-8")
     click.echo(f"matrix written to {out}")
     click.echo(f"trace_of_square,{format(trace_of_square(mat), '.17g')}")
-    click.echo(f"mean_sombor,{format(mean_sombor(g, a), '.17g')}")
-    if g.edge_count:
-        click.echo(f"sigma2,{format(edge_term_stats(g, a).sigma2, '.17g')}")
-        click.echo(f"variance_identity_residual,{format(variance_identity_check(g, a), '.17g')}")
+    if not g.edge_count:
+        click.echo("mean_sombor,0")  # the empty edge sum
+        return
+    stats, mso, radicand = variance_identity(g, a)
+    click.echo(f"mean_sombor,{format(mso, '.17g')}")
+    click.echo(f"sigma2,{format(stats.sigma2, '.17g')}")
+    click.echo(f"variance_identity_residual,{format(identity_residual(mso, radicand), '.17g')}")
 
 
 def _slug(name: str) -> str:

@@ -434,65 +434,38 @@ class NamedGraph(NamedTuple):
     canonical: str = ""
 
 
-# The 18 octane isomers, described by backbone length plus substituents
-# (position, chain length).  Used to attach standard names to the
-# enumerated skeletons and to cross-check the enumeration.
-_OCTANE_STRUCTURES: list[tuple[str, int, list[tuple[int, int]]]] = [
-    ("n-octane", 8, []),
-    ("2-methylheptane", 7, [(2, 1)]),
-    ("3-methylheptane", 7, [(3, 1)]),
-    ("4-methylheptane", 7, [(4, 1)]),
-    ("3-ethylhexane", 6, [(3, 2)]),
-    ("2,2-dimethylhexane", 6, [(2, 1), (2, 1)]),
-    ("2,3-dimethylhexane", 6, [(2, 1), (3, 1)]),
-    ("2,4-dimethylhexane", 6, [(2, 1), (4, 1)]),
-    ("2,5-dimethylhexane", 6, [(2, 1), (5, 1)]),
-    ("3,3-dimethylhexane", 6, [(3, 1), (3, 1)]),
-    ("3,4-dimethylhexane", 6, [(3, 1), (4, 1)]),
-    ("3-ethyl-2-methylpentane", 5, [(3, 2), (2, 1)]),
-    ("3-ethyl-3-methylpentane", 5, [(3, 2), (3, 1)]),
-    ("2,2,3-trimethylpentane", 5, [(2, 1), (2, 1), (3, 1)]),
-    ("2,2,4-trimethylpentane", 5, [(2, 1), (2, 1), (4, 1)]),
-    ("2,3,3-trimethylpentane", 5, [(2, 1), (3, 1), (3, 1)]),
-    ("2,3,4-trimethylpentane", 5, [(2, 1), (3, 1), (4, 1)]),
-    ("2,2,3,3-tetramethylbutane", 4, [(2, 1), (2, 1), (3, 1), (3, 1)]),
-]
-
-
-def _build_alkane_skeleton(backbone: int, substituents: list[tuple[int, int]]) -> Graph:
-    edges = [(i, i + 1) for i in range(backbone - 1)]
-    nxt = backbone
-    for pos, length in substituents:
-        prev = pos - 1  # backbone positions are 1-based
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Graph.from_edges(nxt, edges)
-
-
-def octane_names_by_canonical() -> dict[str, str]:
-    """Map canonical form -> standard isomer name for the 18 octane trees."""
-    out: dict[str, str] = {}
-    for name, backbone, subs in _OCTANE_STRUCTURES:
-        c = canonical_form(_build_alkane_skeleton(backbone, subs))
-        if c in out:
-            raise RuntimeError(f"octane structure table is inconsistent: {name}")
-        out[c] = name
-    return out
+# The 18 octane isomers (the trees on 8 vertices with maximum degree <= 4)
+# by canonical form, in canonical order, with their standard names.
+OCTANE_NAMES: dict[str, str] = {
+    "0.1.2.1.2.1.2.1": "3-ethyl-3-methylpentane",
+    "0.1.2.2.1.2.1.1": "2,3,3-trimethylpentane",
+    "0.1.2.2.1.2.1.2": "3-ethyl-2-methylpentane",
+    "0.1.2.2.1.2.2.1": "2,3,4-trimethylpentane",
+    "0.1.2.2.2.1.1.1": "2,2,3,3-tetramethylbutane",
+    "0.1.2.2.2.1.2.1": "2,2,3-trimethylpentane",
+    "0.1.2.2.2.1.2.2": "2,2,4-trimethylpentane",
+    "0.1.2.3.1.2.1.1": "3,3-dimethylhexane",
+    "0.1.2.3.1.2.1.2": "3-ethylhexane",
+    "0.1.2.3.1.2.2.1": "2,3-dimethylhexane",
+    "0.1.2.3.1.2.2.2": "2,2-dimethylhexane",
+    "0.1.2.3.1.2.3.1": "4-methylheptane",
+    "0.1.2.3.2.1.2.1": "3,4-dimethylhexane",
+    "0.1.2.3.2.1.2.2": "2,4-dimethylhexane",
+    "0.1.2.3.2.1.2.3": "3-methylheptane",
+    "0.1.2.3.3.1.2.2": "2,5-dimethylhexane",
+    "0.1.2.3.3.1.2.3": "2-methylheptane",
+    "0.1.2.3.4.1.2.3": "n-octane",
+}
 
 
 def enumerate_octane_skeletons() -> list[NamedGraph]:
     """The 18 non-isomorphic trees on 8 vertices with maximum degree <= 4,
-    in canonical order, labeled with standard isomer names."""
-    names = octane_names_by_canonical()
-    out: list[NamedGraph] = []
-    for c, t in _canonical_trees(8):
-        if max(t.degrees) <= 4:
-            out.append(NamedGraph(names[c], t, c))
-    if len(out) != 18:
-        raise RuntimeError(f"expected 18 octane skeletons, got {len(out)}")
-    return out
+    in canonical order, labeled with standard isomer names; each is the
+    tree of its canonical level sequence, as `enumerate_trees` builds it."""
+    return [
+        NamedGraph(name, _tree_from_levels(tuple(map(int, c.split(".")))), c)
+        for c, name in OCTANE_NAMES.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

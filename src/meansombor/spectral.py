@@ -83,19 +83,18 @@ def edge_term_stats(g: Graph, a: Alpha) -> EdgeTermStats:
     return variance_identity(g, a)[0]
 
 
-def variance_identity_check(g: Graph, a: Alpha) -> float:
-    """Residual of mSO = sqrt((m/2) tr(M^2) - m^2 sigma^2).
-
-    A correct implementation keeps |residual| <= 1e-9 * (1 + mSO).  A
-    radicand below -1e-9 * scale raises IdentityViolation.
-    """
-    _, mso, radicand = variance_identity(g, a)
-    scale = 1.0 + abs(radicand)
-    if radicand < -1e-9 * scale:
-        raise IdentityViolation(
-            f"negative radicand {radicand} in the variance identity"
-        )
+def identity_residual(mso: float, radicand: float) -> float:
+    """Residual mSO - sqrt(radicand) of the values `variance_identity`
+    returns.  A correct implementation keeps |residual| <= 1e-9 (1 + mSO);
+    a radicand below -1e-9 (1 + |radicand|) raises IdentityViolation."""
+    if radicand < -1e-9 * (1.0 + abs(radicand)):
+        raise IdentityViolation(f"negative radicand {radicand} in the variance identity")
     return mso - math.sqrt(max(radicand, 0.0))
+
+
+def variance_identity_check(g: Graph, a: Alpha) -> float:
+    """Residual of mSO = sqrt((m/2) tr(M^2) - m^2 sigma^2) (`identity_residual`)."""
+    return identity_residual(*variance_identity(g, a)[1:])
 
 
 def write_matrix_csv(mat: np.ndarray, stream: IO[str]) -> None:

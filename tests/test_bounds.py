@@ -3,14 +3,17 @@ strictness, and the sweep plumbing."""
 
 import csv
 import io
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from meansombor import bounds
 from meansombor.bounds import (
     BoundReport,
+    VerificationTable,
     check_chain,
     check_jensen_m1_bound,
     check_ka_powersum_bound,
@@ -22,6 +25,7 @@ from meansombor.bounds import (
     kalpha_constant,
     kp_constant,
     run_verification,
+    verdict,
     write_reports_csv,
 )
 from meansombor.graphs import (
@@ -327,6 +331,63 @@ def test_report_tolerance_scaling():
     assert not rep.passed and not rep.ok
 
 
+def _fixed_point(c):
+    # the float x > 0 with x == c * (1.0 + x), so that a row with lhs = 0
+    # and rhs = +-x has a scale of 1.0 + x and |slack| == c * scale exactly
+    x = c
+    for _ in range(10):
+        x, previous = c * (1.0 + x), x
+        if x == previous:
+            return x
+    raise AssertionError(f"no fixed point near {c}")
+
+
+def test_verdict_rule_at_its_boundaries():
+    # the column verdicts and BoundReport's properties share one rule; they
+    # must agree where each comparison is decided by equality: slack
+    # exactly -tol (passes), |slack| exactly tol (an observed equality),
+    # and slack exactly 1e-12 * scale (not strict), and one ulp past each
+    tol, strict = _fixed_point(1e-9), _fixed_point(1e-12)
+    sides = [(0.0, -tol), (0.0, tol), (-tol, 0.0), (0.0, strict)]
+    sides += [(0.0, math.nextafter(-tol, -1.0)), (0.0, math.nextafter(tol, 1.0)),
+              (0.0, math.nextafter(strict, 1.0))]
+    rows = [
+        BoundReport("edge", "g", None, lhs, rhs, *flags)
+        for lhs, rhs in sides for flags in itertools.product((False, True), repeat=3)
+    ]
+    assert rows[0].slack == -rows[0].tol and rows[0].passed and rows[0].equality_observed
+    assert rows[8].slack == rows[8].tol and rows[8].equality_observed
+    assert rows[16].slack == rows[16].tol and rows[16].equality_observed
+    at_strict = rows[24:32]
+    assert at_strict[0].slack == 1e-12 * (1.0 + abs(at_strict[0].lhs) + abs(at_strict[0].rhs))
+    assert [r.ok for r in at_strict if r.strict_expected] == [False] * 4
+    assert not rows[32].passed and not rows[40].equality_observed
+    # one ulp past 1e-12 * scale the gap is strict, and still an observed equality
+    assert [r.ok for r in rows[48:56] if r.strict_expected] == [True, False, True, True]
+
+    def column(name):
+        return np.array([[getattr(r, name) for r in rows]])
+
+    table = VerificationTable(
+        tuple((r.bound_id, r.alpha) for r in rows), column("lhs"), column("rhs"),
+        column("equality_predicted"), column("equality_applicable"),
+        column("strict_expected"), [("key",)], [("g", 0)],
+    )
+    assert list(table) == rows
+    v = table.verdict
+    for name in ("slack", "tol", "passed", "equality_observed", "ok"):
+        assert getattr(v, name)[0].tolist() == [getattr(r, name) for r in rows], name
+    scalar = [verdict(r.lhs, r.rhs, r.equality_predicted, r.equality_applicable,
+                      r.strict_expected) for r in rows]
+    assert [tuple(x) for x in scalar] == [
+        (r.slack, r.tol, r.passed, r.equality_observed, r.ok) for r in rows
+    ]
+    from_table, from_rows = io.StringIO(), io.StringIO()
+    write_reports_csv(table, from_table)
+    write_reports_csv(rows, from_rows)
+    assert from_table.getvalue() == from_rows.getvalue() == _csv_writer_reference(rows)
+
+
 def test_checks_for_graph_names_rows(k13):
     rows = checks_for_graph(NamedGraph("star", k13))
     assert all(r.graph_id == "star" for r in rows)
@@ -358,9 +419,10 @@ def test_checks_for_graph_rows_are_label_invariant():
         assert checks_for_graph(NamedGraph(named.name, relabelled)) == checks_for_graph(named)
 
 
-def test_run_verification_reuses_rows_per_profile_key(monkeypatch):
-    # the sweep runs the battery once per (degree pairs, vertex count,
-    # connected) key and must equal the plain per-graph sweep row for row
+def test_run_verification_reuses_rows_per_profile_key():
+    # the sweep holds one battery per (degree pairs, vertex count, connected)
+    # key, computed as columns over the keys, and must equal the plain
+    # per-graph sweep row for row, bit for bit
     rng = random.Random(5)
     trees = [
         NamedGraph(f"t{n}_{i}", t) for n in range(2, 11) for i, t in enumerate(enumerate_trees(n))
@@ -370,7 +432,8 @@ def test_run_verification_reuses_rows_per_profile_key(monkeypatch):
     collisions = [NamedGraph("C6", c6), NamedGraph("2C3", two_c3), NamedGraph("K2,3", k23)]
     collisions += [NamedGraph(f"K2,3_relabelled_{i}", _relabelled(k23, rng)) for i in range(3)]
     assert c6.degree_pairs == two_c3.degree_pairs  # same profile and n, not connectivity
-    for gs in (default_corpus(), trees, collisions):
+    dense = [random_connected_graphs(300, seed) for seed in (20240803, 97)]
+    for gs in (default_corpus(), trees, collisions, *dense):
         assert list(run_verification(gs, random_count=0)) == [
             r for n in gs for r in checks_for_graph(n)
         ]
@@ -378,19 +441,27 @@ def test_run_verification_reuses_rows_per_profile_key(monkeypatch):
     # G + K1 keeps G's profile, but its isolated vertex must still reach
     # kalpha's minimum-degree check: after P3 the connected flag tells them
     # apart, after 2C3 (already disconnected) only the vertex count does
+    k1 = Graph(1, frozenset())
     for g in (path_graph(3), two_c3):
-        pair = [NamedGraph("G", g), NamedGraph("G+K1", disjoint_union(g, Graph(1, frozenset())))]
+        pair = [NamedGraph("G", g), NamedGraph("G+K1", disjoint_union(g, k1))]
         with pytest.raises(ValueError, match="minimum degree"):
             checks_for_graph(pair[1])
         with pytest.raises(ValueError, match="minimum degree"):
             run_verification(pair, random_count=0)
+    # an edgeless graph fails the Jensen bound first, connected or not
+    for g in (k1, disjoint_union(k1, k1)):
+        with pytest.raises(ValueError, match="at least one edge"):
+            checks_for_graph(NamedGraph("E", g))
+        with pytest.raises(ValueError, match="at least one edge"):
+            run_verification([NamedGraph("P3", path_graph(3)), NamedGraph("E", g)], random_count=0)
+    # the first rejected graph in corpus order decides the error
+    p3_k1 = NamedGraph("P3+K1", disjoint_union(path_graph(3), k1))
+    with pytest.raises(ValueError, match="minimum degree"):
+        run_verification([p3_k1, NamedGraph("K1", k1)], random_count=0)
 
-    calls = []
-    counted = lambda n: calls.append(n) or checks_for_graph(n)  # noqa: E731
-    monkeypatch.setattr(bounds, "checks_for_graph", counted)
-    run_verification(trees, random_count=0)
+    table = run_verification(trees, random_count=0)
     keys = {(n.graph.degree_pairs, n.graph.vertex_count, is_connected(n.graph)) for n in trees}
-    assert len(calls) == len(keys) < len(trees)
+    assert len(table.batteries) == len(keys) < len(trees)
 
 
 def test_run_verification_small_corpus_passes():

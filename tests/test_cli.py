@@ -314,14 +314,25 @@ def test_scan_timings_print_four_stages(capsys, octane_csv, tmp_path):
         assert tag == "timing" and unit == "s" and float(seconds) >= 0.0
 
 
+def _fake_table(labels, lhs, rhs, graphs):
+    # a table whose rows predict no equality, one battery per row of lhs
+    import numpy as np
+
+    from meansombor.bounds import VerificationTable
+
+    lhs, rhs = np.array(lhs), np.array(rhs)
+    return VerificationTable(
+        labels, lhs, rhs, np.zeros(lhs.shape, bool), np.ones(lhs.shape, bool),
+        np.zeros(lhs.shape, bool), [(f"k{b}",) for b in range(len(lhs))], graphs,
+    )
+
+
 def test_verify_failure_exits_2(capsys, tmp_path, monkeypatch):
     # a failing bound can only come from a broken implementation, so fake
     # one report to exercise the exit-code contract
     import meansombor.cli as cli_mod
-    from meansombor.bounds import BoundReport, VerificationTable
 
-    bad = BoundReport("fake", "g", None, 2.0, 1.0, equality_predicted=False)
-    table = VerificationTable({("key",): [bad]}, [("g", ("key",))])
+    table = _fake_table((("fake", None),), [[2.0]], [[1.0]], [("g", 0)])
     monkeypatch.setattr(cli_mod, "run_verification", lambda **kw: table)
     out_path = tmp_path / "reports.csv"
     code, out, err = run(capsys, "verify", "--out", str(out_path))
@@ -335,25 +346,21 @@ def test_verify_failures_count_every_graph_sharing_a_key(capsys, tmp_path, monke
     # and the worst row is the one a row-by-row scan finds first (the first
     # minimum slack, under the first graph with its key)
     import meansombor.cli as cli_mod
-    from meansombor.bounds import BoundReport, VerificationTable
 
-    def row(bound_id, gid, lhs, rhs):
-        return BoundReport(bound_id, gid, None, lhs, rhs, equality_predicted=False)
-
-    shared = VerificationTable(
-        {("k",): [row("fine", "first", 1.0, 2.0), row("fake", "first", 2.0, 1.0)]},
-        [("first", ("k",)), ("second", ("k",))],
+    shared = _fake_table(
+        (("fine", None), ("fake", None)), [[1.0, 2.0]], [[2.0, 1.0]],
+        [("first", 0), ("second", 0)],
     )
     # two batteries tie on slack: the one whose first graph comes first wins
-    tied = VerificationTable(
-        {("k1",): [row("fake-1", "first", 2.0, 1.0)], ("k2",): [row("fake-2", "x", 3.0, 2.0)]},
-        [("x", ("k2",)), ("first", ("k1",)), ("second", ("k1",)), ("y", ("k2",))],
+    tied = _fake_table(
+        (("fake", None),), [[2.0], [3.0]], [[1.0], [2.0]],
+        [("x", 1), ("first", 0), ("second", 0), ("y", 1)],
     )
     cases = [
         (shared, "checked 4 bound instances, 2 failures",
          "2 bound checks failed; worst: fake on first (slack -1.000e+00)"),
         (tied, "checked 4 bound instances, 4 failures",
-         "4 bound checks failed; worst: fake-2 on x (slack -1.000e+00)"),
+         "4 bound checks failed; worst: fake on x (slack -1.000e+00)"),
     ]
     for table, summary, message in cases:
         failures = [r for r in table if not r.ok]

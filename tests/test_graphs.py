@@ -15,6 +15,7 @@ import pytest
 
 from meansombor.graphs import (
     MAX_VERTICES,
+    OCTANE_NAMES,
     Graph,
     GraphParseError,
     RegularityTag,
@@ -222,6 +223,56 @@ OCTANE_CANONICAL = (
 
 def test_octane_canonical_forms_are_pinned():
     assert tuple(s.canonical for s in enumerate_octane_skeletons()) == OCTANE_CANONICAL
+
+
+# The oracle for OCTANE_NAMES: each isomer's backbone length and its
+# substituents (1-based backbone position, chain length).
+OCTANE_STRUCTURES = [
+    ("n-octane", 8, []),
+    ("2-methylheptane", 7, [(2, 1)]),
+    ("3-methylheptane", 7, [(3, 1)]),
+    ("4-methylheptane", 7, [(4, 1)]),
+    ("3-ethylhexane", 6, [(3, 2)]),
+    ("2,2-dimethylhexane", 6, [(2, 1), (2, 1)]),
+    ("2,3-dimethylhexane", 6, [(2, 1), (3, 1)]),
+    ("2,4-dimethylhexane", 6, [(2, 1), (4, 1)]),
+    ("2,5-dimethylhexane", 6, [(2, 1), (5, 1)]),
+    ("3,3-dimethylhexane", 6, [(3, 1), (3, 1)]),
+    ("3,4-dimethylhexane", 6, [(3, 1), (4, 1)]),
+    ("3-ethyl-2-methylpentane", 5, [(3, 2), (2, 1)]),
+    ("3-ethyl-3-methylpentane", 5, [(3, 2), (3, 1)]),
+    ("2,2,3-trimethylpentane", 5, [(2, 1), (2, 1), (3, 1)]),
+    ("2,2,4-trimethylpentane", 5, [(2, 1), (2, 1), (4, 1)]),
+    ("2,3,3-trimethylpentane", 5, [(2, 1), (3, 1), (3, 1)]),
+    ("2,3,4-trimethylpentane", 5, [(2, 1), (3, 1), (4, 1)]),
+    ("2,2,3,3-tetramethylbutane", 4, [(2, 1), (2, 1), (3, 1), (3, 1)]),
+]
+
+
+def _build_alkane_skeleton(backbone, substituents):
+    edges = [(i, i + 1) for i in range(backbone - 1)]
+    nxt = backbone
+    for pos, length in substituents:
+        prev = pos - 1  # backbone positions are 1-based
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return Graph.from_edges(nxt, edges)
+
+
+def test_octane_name_table_matches_the_structure_oracle():
+    # every named structure's canonical form maps to its own name, and the
+    # table's keys are exactly the chemical trees on 8 vertices
+    by_structure = {
+        canonical_form(_build_alkane_skeleton(backbone, subs)): name
+        for name, backbone, subs in OCTANE_STRUCTURES
+    }
+    assert len(by_structure) == 18
+    assert by_structure == OCTANE_NAMES
+    chemical = {canonical_form(t) for t in enumerate_trees(8) if max(t.degrees) <= 4}
+    assert chemical == set(OCTANE_NAMES)
+    assert list(OCTANE_NAMES) == sorted(OCTANE_NAMES)
 
 
 def test_canonical_form_takes_the_smaller_rooting_at_two_centroids():
