@@ -11,7 +11,6 @@ from .graphs import (
     Graph,
     GraphParseError,
     NamedGraph,
-    RegularityClass,
     RegularityTag,
     canonical_form,
     complete_bipartite,
@@ -71,7 +70,6 @@ from .spectral import (
     build_matrix,
     edge_term_stats,
     trace_of_square,
-    variance_identity_check,
 )
 
 __version__ = "0.1.0"

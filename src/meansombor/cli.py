@@ -52,7 +52,7 @@ class VerificationFailure(Exception):
 
 
 def _read_graph(path: str):
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _echo_timings(*stages: tuple[str, float]) -> None:
@@ -144,7 +144,7 @@ def enumerate_skeletons(out_dir: str) -> None:
 
 
 def _load_octane_dataset(properties_path: str):
-    csv_text = Path(properties_path).read_text(encoding="utf-8")
+    csv_text = Path(properties_path).read_text(encoding="utf-8-sig")
     return load_dataset(enumerate_octane_skeletons(), csv_text)
 
 
@@ -244,7 +244,7 @@ def verify(random_count: int, seed: int, out: str, timings: bool) -> None:
     t0 = time.perf_counter()
     corpus = default_corpus() + random_connected_graphs(random_count, seed)
     t1 = time.perf_counter()
-    table = run_verification(corpus=corpus, random_count=0)
+    table = run_verification(corpus=corpus)
     t2 = time.perf_counter()
     with open(out, "w", encoding="utf-8") as fh:
         write_reports_csv(table, fh, seed=seed, random_count=random_count)

@@ -464,24 +464,16 @@ def _golden_section_max(
 # ---------------------------------------------------------------------------
 
 REPORT_HEADER = ("property", "alpha", "r", "c2", "c1", "SE", "F", "SF")
+# The six statistics as RegressionReport fields, in the order both writers use.
+_REPORT_STATS = tuple(h.lower() for h in REPORT_HEADER[2:])
 
 
 def write_reports_csv(reports: Sequence[RegressionReport], stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(REPORT_HEADER)
     for rep in reports:
-        writer.writerow(
-            [
-                rep.property,
-                rep.alpha.token(),
-                format(rep.r, ".17g"),
-                format(rep.c2, ".17g"),
-                format(rep.c1, ".17g"),
-                format(rep.se, ".17g"),
-                format(rep.f, ".17g"),
-                format(rep.sf, ".17g"),
-            ]
-        )
+        stats = (format(getattr(rep, s), ".17g") for s in _REPORT_STATS)
+        writer.writerow([rep.property, rep.alpha.token(), *stats])
 
 
 def _json_number(x: float) -> float | str:
@@ -495,12 +487,7 @@ def reports_to_json(reports: Sequence[RegressionReport]) -> str:
         {
             "property": rep.property,
             "alpha": rep.alpha.token(),
-            "r": _json_number(rep.r),
-            "c2": _json_number(rep.c2),
-            "c1": _json_number(rep.c1),
-            "se": _json_number(rep.se),
-            "f": _json_number(rep.f),
-            "sf": _json_number(rep.sf),
+            **{s: _json_number(getattr(rep, s)) for s in _REPORT_STATS},
             "n": rep.n,
         }
         for rep in reports

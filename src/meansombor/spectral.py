@@ -92,11 +92,6 @@ def identity_residual(mso: float, radicand: float) -> float:
     return mso - math.sqrt(max(radicand, 0.0))
 
 
-def variance_identity_check(g: Graph, a: Alpha) -> float:
-    """Residual of mSO = sqrt((m/2) tr(M^2) - m^2 sigma^2) (`identity_residual`)."""
-    return identity_residual(*variance_identity(g, a)[1:])
-
-
 def write_matrix_csv(mat: np.ndarray, stream: IO[str]) -> None:
     """Write the matrix as CSV, one row per line, full %.17g precision."""
     for row in mat:

@@ -475,6 +475,16 @@ def test_run_verification_small_corpus_passes():
     ]
 
 
+def test_run_verification_sweeps_the_corpus_then_the_requested_random_graphs():
+    corpus = default_corpus()[:15]
+    table = run_verification(corpus)
+    assert len(table) == 61 * len(corpus)
+    assert [graph_id for graph_id, _ in table.graphs] == [n.name for n in corpus]
+    assert not any(r.graph_id.startswith("random_") for r in table)
+    seeded = run_verification(corpus, random_count=5, seed=9)
+    assert list(seeded) == list(run_verification(corpus + random_connected_graphs(5, 9)))
+
+
 def test_write_reports_csv_shape(k13):
     rows = checks_for_graph(NamedGraph("s", k13))
     buf = io.StringIO()

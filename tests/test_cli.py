@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, round trips, determinism, and exit codes."""
 
+import codecs
 import csv
 import io
 import json
@@ -106,6 +107,14 @@ def test_compute_deterministic(capsys, p3_file):
     assert out1 == out2
 
 
+def test_compute_reads_graph_file_with_byte_order_mark(capsys, p3_file, tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with a BOM
+    bom = tmp_path / "p3-bom.txt"
+    bom.write_bytes(codecs.BOM_UTF8 + p3_file.read_bytes())
+    plain, marked = (run(capsys, "compute", "--graph", str(f), "--alpha", "2") for f in (p3_file, bom))
+    assert plain[0] == 0 and marked == plain
+
+
 # ---------------------------------------------------------------------------
 # matrix
 # ---------------------------------------------------------------------------
@@ -196,6 +205,17 @@ def test_scan_deterministic_bytes(capsys, octane_csv, tmp_path):
         assert code == 0
         outs.append(report.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_qspr_and_scan_read_properties_csv_with_byte_order_mark(capsys, octane_csv, tmp_path):
+    bom = tmp_path / "props-bom.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + octane_csv.read_bytes())
+    for argv in (
+        ("qspr", "--alpha", "1.5"),
+        ("scan", "--property", "PropA", "--alpha-range", "-1:1:0.5"),
+    ):
+        plain, marked = (run(capsys, *argv, "--properties", str(f)) for f in (octane_csv, bom))
+        assert plain[0] == 0 and marked == plain
 
 
 def test_scan_json_is_strict_on_exact_fit(capsys, octane_csv):

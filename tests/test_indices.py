@@ -14,7 +14,6 @@ import pytest
 from meansombor import bounds
 from meansombor.graphs import (
     Graph,
-    RegularityClass,
     RegularityTag,
     all_components_regular,
     complete_bipartite,
@@ -166,15 +165,15 @@ def _regularity_per_edge(g):
     """Reference regularity_class: biregular means every edge joins the
     two distinct degree values."""
     if not g.edges:
-        return RegularityClass(RegularityTag.NEITHER)
+        return RegularityTag.NEITHER
     distinct = sorted(set(g.degrees))
     if len(distinct) == 1:
-        return RegularityClass(RegularityTag.REGULAR, (distinct[0],))
+        return RegularityTag.REGULAR
     if len(distinct) == 2 and all(
         {g.degrees[u], g.degrees[v]} == set(distinct) for u, v in g.edges
     ):
-        return RegularityClass(RegularityTag.BIREGULAR, tuple(distinct))
-    return RegularityClass(RegularityTag.NEITHER)
+        return RegularityTag.BIREGULAR
+    return RegularityTag.NEITHER
 
 
 def test_mean_sombor_over_degree_pairs_is_bit_identical_to_edge_sum():
@@ -230,7 +229,7 @@ def test_mean_sombor_over_degree_pairs_is_bit_identical_to_edge_sum():
                 assert stats.sigma2 == math.fsum((t - mean) ** 2 for t in terms) / len(terms)
         assert all_components_regular(g) == all(x == y for x, y in ends)
         assert regularity_class(g) == _regularity_per_edge(g)
-    tags = {regularity_class(g).tag for g in extra}
+    tags = {regularity_class(g) for g in extra}
     assert tags == {RegularityTag.REGULAR, RegularityTag.BIREGULAR, RegularityTag.NEITHER}
 
 

@@ -27,8 +27,8 @@ from meansombor.spectral import (
     build_matrix,
     edge_term_stats,
     trace_of_square,
+    identity_residual,
     variance_identity,
-    variance_identity_check,
     write_matrix_csv,
 )
 
@@ -114,9 +114,9 @@ def test_edge_term_stats_rejects_edgeless():
 
 
 def test_variance_identity_examples(p3, p4, k3):
-    assert variance_identity_check(k3, Alpha.finite(2)) == pytest.approx(0.0, abs=1e-12)
-    assert abs(variance_identity_check(p3, Alpha.finite(2))) <= 1e-9
-    assert abs(variance_identity_check(p4, Alpha.finite(1))) <= 1e-9
+    assert identity_residual(*variance_identity(k3, Alpha.finite(2))[1:]) == pytest.approx(0.0, abs=1e-12)
+    assert abs(identity_residual(*variance_identity(p3, Alpha.finite(2))[1:])) <= 1e-9
+    assert abs(identity_residual(*variance_identity(p4, Alpha.finite(1))[1:])) <= 1e-9
 
 
 def test_variance_identity_across_corpus_and_grid():
@@ -124,7 +124,7 @@ def test_variance_identity_across_corpus_and_grid():
     for named in corpus:
         g = named.graph
         for a in ALPHA_GRID:
-            residual = variance_identity_check(g, a)
+            residual = identity_residual(*variance_identity(g, a)[1:])
             assert abs(residual) <= 1e-9 * (1.0 + mean_sombor(g, a))
 
 
