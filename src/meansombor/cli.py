@@ -30,6 +30,7 @@ from .graphs import (
 from .indices import SPECIAL_VALUES, mean_sombor, parse_alpha
 from .qspr import (
     AlphaGrid,
+    QsprDataset,
     RegressionReport,
     load_dataset,
     qspr_at_alpha,
@@ -148,6 +149,14 @@ def _load_octane_dataset(properties_path: str):
     return load_dataset(enumerate_octane_skeletons(), csv_text)
 
 
+def _properties_to_fit(ds: QsprDataset, prop: str | None) -> list[str]:
+    """The requested property, or every usable one; an error if none is."""
+    props = [prop] if prop else ds.usable_properties()
+    if not props:
+        raise ValueError("no property in the properties CSV has at least 3 values")
+    return props
+
+
 def _write_qspr_reports(reports: list[RegressionReport], fmt: str, out: str | None) -> None:
     if fmt == "json":
         _emit(reports_to_json(reports), out)
@@ -167,7 +176,7 @@ def qspr(properties_path: str, prop: str | None, alpha_spec: str, fmt: str, out:
     """Fit the linear model at one exponent for octane-isomer properties."""
     ds = _load_octane_dataset(properties_path)
     a = parse_alpha(alpha_spec)
-    props = [prop] if prop else ds.usable_properties()
+    props = _properties_to_fit(ds, prop)
     reports = [qspr_at_alpha(ds, p, a) for p in props]
     _write_qspr_reports(reports, fmt, out)
 
@@ -205,7 +214,7 @@ def scan(
     ds = _load_octane_dataset(properties_path)
     t1 = time.perf_counter()
     grid = _parse_range(range_spec) if range_spec else AlphaGrid()
-    props = [prop] if prop else ds.usable_properties()
+    props = _properties_to_fit(ds, prop)
     if curve_dir:
         owners: dict[str, str] = {}
         for p in props:
@@ -220,10 +229,10 @@ def scan(
     if curve_dir:
         d = Path(curve_dir)
         d.mkdir(parents=True, exist_ok=True)
+        tokens = [a.token() for a, _ in scans[0][1]]  # every curve runs over the one grid
         for p, (_, curve) in zip(props, scans):
-            buf = io.StringIO()
-            write_curve_csv(curve, buf)
-            (d / f"curve-{_slug(p)}.csv").write_text(buf.getvalue(), encoding="utf-8")
+            with (d / f"curve-{_slug(p)}.csv").open("w", encoding="utf-8") as fh:
+                write_curve_csv(curve, fh, tokens)
     t3 = time.perf_counter()
     _write_qspr_reports([best for best, _ in scans], fmt, out)
     t4 = time.perf_counter()

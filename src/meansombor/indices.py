@@ -28,6 +28,10 @@ import numpy as np
 from .graphs import Graph
 
 
+# Significant digits of a finite exponent's token.
+TOKEN_DIGITS = 10
+
+
 class Alpha(float):
     """Exponent of the power mean: a point of the extended real line
     [-inf, inf].
@@ -68,7 +72,7 @@ class Alpha(float):
             return "0-limit"
         if math.isinf(self):
             return "+inf" if self > 0 else "-inf"
-        return format(self, ".10g")
+        return format(self, f".{TOKEN_DIGITS}g")
 
     def __str__(self) -> str:
         return self.token()

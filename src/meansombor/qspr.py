@@ -8,12 +8,13 @@ matrix (``indices.descriptor_matrix``, the scalar kernel once per
 distinct degree pair and exponent) is built once per command over all
 records, and each property reads its records' rows; the curve agrees
 with per-point fits to matmul rounding.  Refinement, candidate scoring
-and the reported row use the scalar path.  For each reported
-exponent the pipeline gives Pearson's r, the slope/intercept,
-the standard error of estimate, the F statistic ``r^2 (n-2) / (1-r^2)`` and
-its upper-tail significance under F(1, n-2).  The significance is computed
-with an in-package regularized incomplete beta (continued fraction, at most
-300 iterations), so p-values far below 1e-15 keep their relative accuracy.
+and the reported row use the scalar path; refinement takes |r| alone,
+with no F test.  For each reported exponent the pipeline gives Pearson's
+r, the slope/intercept, the standard error of estimate, the F statistic
+``r^2 (n-2) / (1-r^2)`` and its upper-tail significance under F(1, n-2).
+The significance is computed with an in-package regularized incomplete
+beta (continued fraction, at most 300 iterations), so p-values far below
+1e-15 keep their relative accuracy.
 The 1e-12 stopping tolerance of the fraction is not that accuracy: against
 scipy.stats.f.sf (df1 <= 4, 20k random draws) the worst relative error is
 about 1e-12 for df2 <= 100 and below 1e-8 for df2 up to 1e6 (6.4e-9 at
@@ -31,7 +32,8 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Sequence
+from decimal import Decimal
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,10 +41,13 @@ from .graphs import Graph, NamedGraph
 from .indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
+    TOKEN_DIGITS,
     Alpha,
     ZERO_LIMIT,
     descriptor_matrix,
     mean_sombor,
+    pair_sum,
+    power_mean,
 )
 
 _BETA_TOL = 1e-12
@@ -135,12 +140,11 @@ class LinearFit(NamedTuple):
     sf: float
 
 
-def fit_linear(x: Sequence[float], y: Sequence[float]) -> LinearFit:
-    """OLS fit y ~ c1 x + c2 with Pearson r, standard error of estimate,
-    F statistic and its significance.
+def _pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, ...]:
+    """Pearson r of y on x with the means and centred sums of the OLS fit:
+    (r, mx, my, sxx, syy, sxy), each sum one fsum.
 
-    Needs n >= 3 and a non-constant x.  A perfect fit (|r| = 1) yields
-    se = 0, f = inf, sf = 0.
+    Needs n >= 3 and a non-constant x; a constant y gives r = 0.
     """
     n = len(x)
     if len(y) != n:
@@ -154,20 +158,28 @@ def fit_linear(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     sxy = math.fsum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
     if sxx <= 0.0:
         raise DegeneratePredictorError("predictor column is constant")
-    c1 = sxy / sxx
-    c2 = my - c1 * mx
+    r = 0.0 if syy <= 0.0 else max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    return r, mx, my, sxx, syy, sxy
+
+
+def fit_linear(x: Sequence[float], y: Sequence[float]) -> LinearFit:
+    """OLS fit y ~ c1 x + c2 with Pearson r, standard error of estimate,
+    F statistic and its significance.
+
+    Needs n >= 3 and a non-constant x.  A perfect fit (|r| = 1) yields
+    se = 0, f = inf, sf = 0.
+    """
+    r, mx, my, sxx, syy, sxy = _pearson(x, y)
+    n = len(x)
     if syy <= 0.0:
         # constant response: zero slope fits exactly, correlation undefined;
         # report r = 0 with a perfect (zero-residual) fit
         return LinearFit(c1=0.0, c2=my, r=0.0, se=0.0, f=0.0, sf=1.0)
-    r = sxy / math.sqrt(sxx * syy)
-    r = max(-1.0, min(1.0, r))
+    c1 = sxy / sxx
+    c2 = my - c1 * mx
     sse = max(syy - c1 * sxy, 0.0)
     se = math.sqrt(sse / (n - 2))
-    if abs(r) >= 1.0:
-        f = math.inf
-    else:
-        f = r * r * (n - 2) / (1.0 - r * r)
+    f = math.inf if abs(r) >= 1.0 else r * r * (n - 2) / (1.0 - r * r)
     return LinearFit(c1=c1, c2=c2, r=r, se=se, f=f, sf=f_significance(f, 1, n - 2))
 
 
@@ -309,8 +321,9 @@ class AlphaGrid:
     with the limit points 0 and +-inf.
 
     Lattice points k*step are rounded to 12 decimals, so the step must be
-    at least 1e-12; the grid must hold between 1 and MAX_GRID_POINTS
-    nonzero lattice points.
+    at least 1e-12, and at least twice the resolution of the tokens at the
+    largest |alpha|, so that distinct points have distinct tokens; the grid
+    must hold between 1 and MAX_GRID_POINTS nonzero lattice points.
     """
 
     lo: float = -10.0
@@ -318,7 +331,7 @@ class AlphaGrid:
     step: float = 0.01
 
     def __post_init__(self) -> None:
-        spec = f"{self.lo:g}:{self.hi:g}:{self.step:g}"
+        spec = f"{self.lo:.12g}:{self.hi:.12g}:{self.step:.12g}"
         if not all(math.isfinite(x) for x in (self.lo, self.hi, self.step)):
             raise ValueError(f"alpha grid {spec}: lo, hi and step must be finite")
         if self.step <= 0 or self.lo > self.hi:
@@ -336,6 +349,17 @@ class AlphaGrid:
         if self.step < 1e-12:
             raise ValueError(
                 f"alpha grid {spec}: step below 1e-12 (points are rounded to 12 decimals)"
+            )
+        # Rounding to 12 decimals narrows a gap by up to 1e-12, so two units
+        # of the last token digit at the largest |alpha| keep every gap above
+        # one unit where a unit exceeds 1e-12; below, the tokens are exact.
+        top = max(abs(self.lo), abs(self.hi))
+        resolution = 10.0 ** (Decimal(top).adjusted() - TOKEN_DIGITS + 1)
+        if self.step < 2.0 * resolution:
+            raise ValueError(
+                f"alpha grid {spec}: step {self.step:g} is below twice the token "
+                f"resolution {resolution:g} at |alpha| = {top:g} "
+                f"(tokens keep {TOKEN_DIGITS} significant digits)"
             )
 
     def _lattice(self) -> tuple[int, int]:
@@ -356,13 +380,9 @@ class AlphaGrid:
 def _pearson_columns(x: np.ndarray, y: Sequence[float]) -> np.ndarray:
     """Pearson r of y against every column of x, without the F test.
 
-    mSO is nondecreasing in the exponent, so x must be componentwise sorted
-    along its columns, the ascending grid.  As in fit_linear, a constant
-    column raises DegeneratePredictorError and a constant y gives r = 0.
+    As in fit_linear, a constant column raises DegeneratePredictorError and
+    a constant y gives r = 0.
     """
-    prev, cur = x[:, :-1], x[:, 1:]
-    if (cur < prev - 1e-9 * (1.0 + np.abs(prev))).any():
-        raise RuntimeError("descriptor vectors are not monotone in alpha")
     if (x.min(axis=0) == x.max(axis=0)).any():
         raise DegeneratePredictorError("predictor column is constant")
     yv = np.asarray(y, dtype=float)
@@ -378,23 +398,33 @@ def scan_properties(
 ) -> list[tuple[RegressionReport, list[tuple[Alpha, float]]]]:
     """Find the exponent maximizing |r| for each property.
 
-    Builds the grid and the descriptor matrix over all records once; a
+    Builds the grid, its float array and the descriptor matrix over all
+    records once, and checks once that the matrix is monotone in alpha; a
     property's grid curve is Pearson's r over the rows of its records.
-    Refines around the best finite grid point with a golden-section search
-    to bracket width 1e-3, then picks the best of {refined finite, 0-limit,
+    Refines around the best finite grid point (largest |r|, then smallest
+    |alpha|, then the earlier point) with a golden-section search to
+    bracket width 1e-3, then picks the best of {refined finite, 0-limit,
     -inf, +inf}; ties prefer the smaller |alpha|, then the smaller alpha.
     Returns the winning report and the (alpha, r) grid curve per property.
     """
     columns = [ds.column(p) for p in props]
     grid = grid or AlphaGrid()
     points = grid.points()
+    alphas = np.array(points, dtype=float)
+    finite = np.flatnonzero(np.isfinite(alphas) & (alphas != 0.0))
     x_all = descriptor_matrix([rec.graph for rec in ds.records], points)
+    # mSO is nondecreasing in the exponent: every row follows the ascending grid
+    prev, cur = x_all[:, :-1], x_all[:, 1:]
+    if (cur < prev - 1e-9 * (1.0 + np.abs(prev))).any():
+        raise RuntimeError("descriptor vectors are not monotone in alpha")
     scans = []
     for prop, recs in zip(props, columns):
         rows = [i for i, rec in enumerate(ds.records) if prop in rec.properties]
         y = [rec.properties[prop] for rec in recs]
-        curve = list(zip(points, _pearson_columns(x_all[rows], y).tolist()))
-        scans.append((_best_alpha(ds, prop, curve, grid), curve))
+        r = _pearson_columns(x_all[rows], y)
+        best = _best_finite_point(alphas, finite, r)
+        report = _best_alpha(ds, prop, (points[best], float(r[best])), grid)
+        scans.append((report, list(zip(points, r.tolist()))))
     return scans
 
 
@@ -405,17 +435,43 @@ def alpha_scan(
     return scan_properties(ds, [prop], grid)[0]
 
 
-def _best_alpha(ds: QsprDataset, prop: str, curve: list, grid: AlphaGrid) -> RegressionReport:
-    """The report of the best exponent: the best finite grid point refined
-    by golden section, against the three limit points."""
-    best_finite, best_finite_r = min(
-        ((a, r) for a, r in curve if a.is_finite),
-        key=lambda ar: (-abs(ar[1]), abs(ar[0])),
-    )
+def _best_finite_point(alphas: np.ndarray, finite: np.ndarray, r: np.ndarray) -> int:
+    """Position of the best finite grid point: the largest |r|, then the
+    smallest |alpha|, then the earlier point (so -alpha before +alpha).
+
+    `finite` holds the positions of the finite points in `alphas`.  One
+    lexsort, which is stable and sorts on its last key first."""
+    return int(finite[np.lexsort((np.abs(alphas[finite]), -np.abs(r[finite])))[0]])
+
+
+def _refinement_objective(recs: Sequence[QsprRecord], prop: str) -> Callable[[float], float]:
+    """|r| of the property at one exponent, bit for bit as qspr_at_alpha
+    computes it, without the F test: the kernel once per distinct degree
+    pair of the records, and each record's mSO one fsum over its pairs
+    (mean_sombor's value)."""
+    graphs = [rec.graph for rec in recs]
+    y = [rec.properties[prop] for rec in recs]
+    pairs = {p for g in graphs for p, _ in g.degree_pairs}
+
+    def abs_r(v: float) -> float:
+        a = Alpha(v)
+        pm = {p: power_mean(*p, a) for p in pairs}
+        return abs(_pearson([pair_sum(g, lambda lo, hi: pm[lo, hi]) for g in graphs], y)[0])
+
+    return abs_r
+
+
+def _best_alpha(
+    ds: QsprDataset, prop: str, start: tuple[Alpha, float], grid: AlphaGrid
+) -> RegressionReport:
+    """The report of the best exponent: the best finite grid point `start`
+    (exponent, grid r) refined by golden section, against the three limit
+    points."""
+    best_finite, best_finite_r = start
     lo = max(best_finite - grid.step, grid.lo)
     hi = min(best_finite + grid.step, grid.hi)
     refined = _golden_section_max(
-        lambda v: abs(qspr_at_alpha(ds, prop, Alpha(v)).r),
+        _refinement_objective(ds.column(prop), prop),
         lo,
         hi,
         tol=1e-3,
@@ -495,9 +551,13 @@ def reports_to_json(reports: Sequence[RegressionReport]) -> str:
     return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
-def write_curve_csv(curve: Sequence[tuple[Alpha, float]], stream: IO[str]) -> None:
-    """Two-column CSV (alpha, r); the limit points use their tokens."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("alpha", "r"))
-    for a, r in curve:
-        writer.writerow([a.token(), format(r, ".17g")])
+def write_curve_csv(
+    curve: Sequence[tuple[Alpha, float]], stream: IO[str], tokens: Sequence[str] | None = None
+) -> None:
+    """Two-column CSV (alpha, r); the limit points use their tokens.
+
+    `tokens` are the curve's alpha tokens, for a caller that writes several
+    curves of one grid and formats them once."""
+    if tokens is None:
+        tokens = [a.token() for a, _ in curve]
+    stream.write("alpha,r\n" + "".join(f"{t},{r:.17g}\n" for t, (_, r) in zip(tokens, curve)))

@@ -244,6 +244,36 @@ def test_scan_rejects_non_finite_cell(capsys, tmp_path):
     assert "row 19: non-finite cell 'nan' for BP" in err
 
 
+@pytest.fixture
+def template_csv(tmp_path):
+    """The unfilled template that scripts/fetch_octane_properties.py writes."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "fetch_octane_properties.py"
+    src = str(Path(meansombor.__file__).resolve().parent.parent)
+    path = tmp_path / "template.csv"
+    subprocess.run(
+        [sys.executable, str(script), "--out", str(path)],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        check=True,
+    )
+    return path
+
+
+def test_qspr_and_scan_reject_a_table_without_usable_property(capsys, tmp_path, template_csv):
+    header_only = tmp_path / "header-only.csv"
+    header_only.write_text("name\n")
+    curves, report = tmp_path / "curves", tmp_path / "report.csv"
+    for table in (template_csv, header_only):
+        for argv in (
+            ("qspr", "--alpha", "1.5", "--out", str(report)),
+            ("scan", "--curve-out", str(curves), "--out", str(report)),
+        ):
+            code, out, err = run(capsys, argv[0], "--properties", str(table), *argv[1:])
+            assert code == 1 and out == ""
+            assert "no property in the properties CSV has at least 3 values" in err
+            assert not curves.exists() and not report.exists()
+
+
 def _two_property_csv(path, first, second):
     path.write_text(f"name,{first},{second}\n" + "".join(
         f'"{s.name}",{i},{2 * i}\n' for i, s in enumerate(enumerate_octane_skeletons())
@@ -455,6 +485,7 @@ def test_bad_alpha_range_is_operational_error(capsys, octane_csv, monkeypatch):
         ("-1:1:inf", "must be finite"),
         ("0.001:0.002:0.01", "no nonzero lattice point"),
         ("-1:1:1e-13", "more than 100000 finite points"),
+        ("2:2.0000000005:1e-10", "step 1e-10 is below twice the token resolution 1e-09"),
     ]:
         code, _, err = run(
             capsys, "scan", "--properties", str(octane_csv), "--alpha-range", spec

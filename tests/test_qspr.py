@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meansombor import qspr
 from meansombor.cli import main
@@ -351,11 +353,39 @@ def test_alpha_grid_validation(monkeypatch):
         ((-500, 500.01, 0.01), f"more than {MAX_GRID_POINTS} finite points"),
         ((-1e300, 1e300, 1e-300), f"more than {MAX_GRID_POINTS} finite points"),
         ((-1e-12, 1e-12, 1e-13), "step below 1e-12"),
+        ((2, 2.0000000005, 1e-10), "step 1e-10 is below twice the token resolution 1e-09"),
     ]
     for args, cause in cases:
         with pytest.raises(ValueError, match=re.escape(cause)):
             AlphaGrid(*args)
     AlphaGrid(-500, 500, 0.01)  # exactly MAX_GRID_POINTS finite points
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exponent=st.integers(-4, 9),
+    mantissa=st.floats(1.0, 10.0, exclude_max=True),
+    negative=st.booleans(),
+    units=st.floats(1.0, 4.0),
+    count=st.integers(1, 400),
+    share_below=st.floats(0.0, 1.0),
+)
+def test_accepted_grids_have_distinct_tokens(
+    exponent, mantissa, negative, units, count, share_below
+):
+    # steps of a few units of the last token digit at the largest |alpha|,
+    # where a grid is accepted or rejected on that resolution alone
+    top = mantissa * 10.0**exponent
+    step = units * 10.0 ** (exponent - 9)
+    lo, hi = top - count * step * share_below, top + count * step * (1.0 - share_below)
+    if negative:
+        lo, hi = -hi, -lo
+    try:
+        grid = AlphaGrid(lo, hi, step)
+    except ValueError:
+        return
+    tokens = [a.token() for a in grid.points()]
+    assert len(set(tokens)) == len(tokens)
 
 
 def test_scan_recovers_planted_finite_alpha():
@@ -457,6 +487,112 @@ def test_scan_command_builds_grid_and_matrix_once(capsys, monkeypatch, tmp_path)
 
     assert main(["scan", "--properties", str(table), "--property", "D"]) == 1
     assert "missing or has fewer than 3 values" in capsys.readouterr().err
+
+
+def _min_best_finite(curve):
+    """The best finite grid point as a min over the curve: the rule the
+    lexsort pick must keep."""
+    return min(((a, r) for a, r in curve if a.is_finite), key=lambda ar: (-abs(ar[1]), abs(ar[0])))
+
+
+def test_best_finite_point_keeps_the_min_tie_rule():
+    points = AlphaGrid(-2, 2, 0.5).points()  # -inf -2 -1.5 -1 -0.5 0 0.5 1 1.5 2 +inf
+    alphas = np.array(points, dtype=float)
+    finite = np.flatnonzero(np.isfinite(alphas) & (alphas != 0.0))
+    by_alpha = dict(zip(alphas.tolist(), range(len(points))))
+    cases = [
+        {-1.0: 0.9, 1.0: 0.9},  # +-alpha with the same r: -alpha comes first
+        {-1.0: -0.9, 1.0: 0.9},  # +-alpha with opposite signs
+        {2.0: 0.8, 0.5: -0.8, -1.5: 0.8},  # equal |r| at different |alpha|
+        {-0.5: 0.7, 0.5: -0.7, -2.0: 0.7},
+        {-math.inf: 1.0, math.inf: -1.0, 0.0: 0.99, 1.5: 0.5, -1.5: -0.5},  # limit points excluded
+        {},  # all zero: the smallest |alpha|, the negative first
+    ]
+    for case in cases:
+        r = np.full(len(points), 0.25 if case else 0.0)
+        for a, value in case.items():
+            r[by_alpha[a]] = value
+        curve = list(zip(points, r.tolist()))
+        best = qspr._best_finite_point(alphas, finite, r)
+        assert (points[best], float(r[best])) == _min_best_finite(curve), case
+        assert points[best] is _min_best_finite(curve)[0]
+    rng = random.Random(4)
+    for _ in range(200):  # coarse r values, so ties are frequent
+        r = np.array([rng.choice((-1, 1)) * rng.randrange(4) / 4 for _ in points])
+        curve = list(zip(points, r.tolist()))
+        assert points[qspr._best_finite_point(alphas, finite, r)] is _min_best_finite(curve)[0]
+
+
+def _csv_writer_curve(curve):
+    """The curve file as csv.writer writes it, one row and one token per point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("alpha", "r"))
+    for a, r in curve:
+        writer.writerow([a.token(), format(r, ".17g")])
+    return buf.getvalue()
+
+
+def test_curve_writer_matches_csv_writer_bytes():
+    ds = planted_dataset(Alpha.finite(-0.7), slope=-3.0, intercept=2.5)
+    grids = [
+        AlphaGrid(-1, 1, 0.5),
+        AlphaGrid(),
+        AlphaGrid(-0.73, 1.19, 0.1),  # off-lattice bounds
+        AlphaGrid(0.5, 3, 0.25),  # one-sided positive
+        AlphaGrid(-3, -0.5, 0.25),  # one-sided negative
+        AlphaGrid(0.5, 0.5, 0.5),  # one finite point
+        AlphaGrid(-1e12, -0.99999e12, 2e6),  # tokens in exponent notation
+        AlphaGrid(1e-5, 5e-5, 1e-5),
+    ]
+    for grid in grids:
+        _, curve = alpha_scan(ds, "P", grid)
+        expected = _csv_writer_curve(curve)
+        buf = io.StringIO()
+        write_curve_csv(curve, buf)
+        assert buf.getvalue() == expected
+        shared = io.StringIO()
+        write_curve_csv(curve, shared, [a.token() for a in grid.points()])
+        assert shared.getvalue() == expected
+
+
+def test_refinement_objective_is_abs_r_of_the_fit_bit_for_bit():
+    ds = load_dataset(SKELETONS, three_property_csv())
+    exponents = [1e-9, -3e-7, 0.001, -0.02, 0.5, -0.999, 1.0, 1.37, -2.5, 7.25, -38.0, 400.0]
+    for prop in ds.property_names:
+        recs = ds.column(prop)
+        y = [rec.properties[prop] for rec in recs]
+        objective = qspr._refinement_objective(recs, prop)
+        for v in exponents:
+            x = [mean_sombor(rec.graph, Alpha.finite(v)) for rec in recs]
+            assert objective(v) == abs(fit_linear(x, y).r), (prop, v)
+
+
+def test_scan_command_fits_four_candidates_and_formats_one_token_list(monkeypatch, tmp_path):
+    table = tmp_path / "props.csv"
+    table.write_text(three_property_csv(), encoding="utf-8")
+    calls = {"fit_linear": 0, "token": 0}
+    real_fit, real_token = qspr.fit_linear, Alpha.token
+
+    def counted_fit(x, y):
+        calls["fit_linear"] += 1
+        return real_fit(x, y)
+
+    def counted_token(self):
+        calls["token"] += 1
+        return real_token(self)
+
+    monkeypatch.setattr(qspr, "fit_linear", counted_fit)
+    monkeypatch.setattr(Alpha, "token", counted_token)
+    argv = [
+        "scan", "--properties", str(table), "--alpha-range", "-2:2:0.01",
+        "--curve-out", str(tmp_path / "curves"), "--out", str(tmp_path / "scan.csv"),
+    ]
+    assert main(argv) == 0
+    points, props = len(AlphaGrid(-2, 2, 0.01).points()), 3
+    assert calls["fit_linear"] == 4 * props
+    assert calls["token"] <= points + props
+    assert len(list((tmp_path / "curves").iterdir())) == props
 
 
 # ---------------------------------------------------------------------------
