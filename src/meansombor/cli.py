@@ -226,20 +226,31 @@ def scan(
                 )
     scans = scan_properties(ds, props, grid)
     t2 = time.perf_counter()
+    # the report is written before any curve file, but after the curve directory
+    # is made (it may hold the report): a report that cannot be written leaves no
+    # curve file, and the directories made for it are taken back
+    made: list[Path] = []
     if curve_dir:
         d = Path(curve_dir)
+        made = [p for p in (d, *d.parents) if not p.exists()]
         d.mkdir(parents=True, exist_ok=True)
+    try:
+        _write_qspr_reports([best for best, _ in scans], fmt, out)
+    except OSError:
+        for p in made:
+            p.rmdir()
+        raise
+    t3 = time.perf_counter()
+    if curve_dir:
         tokens = [a.token() for a, _ in scans[0][1]]  # every curve runs over the one grid
         for p, (_, curve) in zip(props, scans):
             with (d / f"curve-{_slug(p)}.csv").open("w", encoding="utf-8") as fh:
                 write_curve_csv(curve, fh, tokens)
-    t3 = time.perf_counter()
-    _write_qspr_reports([best for best, _ in scans], fmt, out)
     t4 = time.perf_counter()
     if timings:
         _echo_timings(
             ("dataset-load", t1 - t0), ("scan", t2 - t1),
-            ("curve-write", t3 - t2), ("report-write", t4 - t3),
+            ("curve-write", t4 - t3), ("report-write", t3 - t2),
         )
 
 

@@ -154,8 +154,20 @@ def _bfs(g: Graph, root: int) -> tuple[list[int], list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff one component spans all vertices (single vertex counts)."""
-    return len(_bfs(g, 0)[1]) == g.vertex_count
+    """True iff one component spans all vertices (single vertex counts):
+    one union-find pass with path halving over the edges (Tarjan, 1975),
+    which needs no adjacency lists."""
+    parent = list(range(g.vertex_count))
+    components = g.vertex_count
+    for u, v in g.edges:
+        while parent[u] != u:  # path halving: u steps to its grandparent
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            components -= 1
+    return components == 1
 
 
 def all_components_regular(g: Graph) -> bool:

@@ -512,10 +512,19 @@ def _csv_writer_reference(rows, seed=None, random_count=None):
     return buf.getvalue()
 
 
+def _hand_built_table(labels, lhs, rhs, graphs):
+    # a table over len(lhs) batteries whose rows predict no equality
+    lhs, rhs = np.array(lhs, dtype=float), np.array(rhs, dtype=float)
+    no = np.zeros(lhs.shape, dtype=bool)
+    keys = [(b,) for b in range(len(lhs))]
+    return VerificationTable(tuple(labels), lhs, rhs, no, ~no, no, keys, graphs)
+
+
 def test_write_reports_csv_table_matches_row_by_row_writer():
-    # the table formats each battery row once and writes it around every
-    # graph id sharing its key; the bytes must equal the per-graph rows
-    # written one by one, and csv.writer's own quoting of the ids
+    # the table formats each distinct number once per block of batteries and
+    # renders each battery once, around every graph id sharing its key; the
+    # bytes must equal the per-graph rows written one by one, and csv.writer's
+    # own quoting of the ids (which writes NUL as is)
     trees = [
         NamedGraph(f"t{n}_{i}", t) for n in range(2, 11) for i, t in enumerate(enumerate_trees(n))
     ]
@@ -523,7 +532,9 @@ def test_write_reports_csv_table_matches_row_by_row_writer():
     quoted = [
         NamedGraph("K1,3", k13), NamedGraph("P4", p4), NamedGraph('star "3"', k13),
         NamedGraph('P4, "again"', p4), NamedGraph("star\nthree", k13),
-        NamedGraph("star\rthree", k13), NamedGraph("", k13),
+        NamedGraph("star\rthree", k13), NamedGraph("", k13), NamedGraph("100%", k13),
+        NamedGraph("%s", p4), NamedGraph("%%s%(x)s", k13), NamedGraph("nul\0id", p4),
+        NamedGraph("\0", k13),
     ]
     for gs in (default_corpus(), trees, quoted):
         table = run_verification(gs, random_count=0)
@@ -534,6 +545,34 @@ def test_write_reports_csv_table_matches_row_by_row_writer():
         write_reports_csv(rows, from_rows, seed=7, random_count=0)
         assert from_table.getvalue() == from_rows.getvalue()
         assert from_table.getvalue() == _csv_writer_reference(rows, seed=7, random_count=0)
+        if gs is trees:
+            # more batteries than one block, and values shared across blocks
+            first_use = list(dict.fromkeys(b for _, b in table.graphs))
+            head, rest = first_use[:bounds._CELL_BLOCK], first_use[bounds._CELL_BLOCK:]
+            assert rest and set(table.lhs[head].ravel()) & set(table.lhs[rest].ravel())
     # the quoted ids share two batteries, so most are written from the cache
     assert len(table.batteries) == 2
     assert '\nmonotonicity,"K1,3",' in from_table.getvalue()
+
+    # -0.0 and 0.0 in one column keep their own texts, and labels may hold the
+    # template's own characters; graphs in any order of their batteries, and
+    # more batteries than one block, whose rows share values across blocks
+    labels = [("zero%s", None), ("nul\0label", Alpha.finite(-1)), ("%", ALPHA_PLUS_INF)]
+    signed = _hand_built_table(
+        labels, [[-0.0, 0.0, 1.5], [0.0, -0.0, 1.5]], [[0.0, -0.0, 2.5], [-0.0, 0.0, 2.5]],
+        [("a", 1), ("b", 0), ("c", 1), ("d", 0)],
+    )
+    count = 3 * bounds._CELL_BLOCK + 5
+    rng = random.Random(3)
+    order = list(range(count))
+    rng.shuffle(order)
+    late_first = [(f"g{b}", b) for b in order] + [(f"again{b}", b) for b in order[::7]]
+    shared = [[float(b % 3), rng.random(), 1.0 / 3.0] for b in range(count)]
+    blocks = _hand_built_table(labels, shared, [[4.0, 2.0, 0.5]] * count, late_first)
+    for table in (signed, blocks):
+        out = io.StringIO()
+        write_reports_csv(table, out)
+        assert out.getvalue() == _csv_writer_reference(list(table))
+        if table is signed:
+            assert "\nzero%s,a,,0,-0,-0,0,1,1,0,0\nnul\0label,a,-1," in out.getvalue()
+            assert "\nzero%s,b,,-0,0,0,0,1,1,0,0\n" in out.getvalue()

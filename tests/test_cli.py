@@ -341,6 +341,29 @@ def test_verify_timings_print_three_stages(capsys, tmp_path):
         assert tag == "timing" and unit == "s" and float(seconds) >= 0.0
 
 
+def test_scan_report_that_cannot_be_written_leaves_no_curves(capsys, octane_csv, tmp_path):
+    # the report is written before any curve file; directories made for the
+    # curves are taken back when it cannot be
+    for d in (tmp_path, tmp_path / "new" / "deeper"):
+        code, out, err = run(
+            capsys, "scan", "--properties", str(octane_csv), "--alpha-range", "-1:1:0.5",
+            "--curve-out", str(d / "curves"), "--out", str(d / "missing" / "scan.csv"),
+        )
+        assert code == 1 and out == ""
+        assert "[Errno 2]" in err
+        assert not (d / "curves").exists()
+    assert sorted(tmp_path.iterdir()) == [octane_csv]
+    # a report inside the curve directory still works
+    code, _, _ = run(
+        capsys, "scan", "--properties", str(octane_csv), "--alpha-range", "-1:1:0.5",
+        "--curve-out", str(tmp_path / "d"), "--out", str(tmp_path / "d" / "scan.csv"),
+    )
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+        "curve-PropA.csv", "curve-PropB.csv", "scan.csv",
+    ]
+
+
 def test_scan_timings_print_four_stages(capsys, octane_csv, tmp_path):
     def scan_into(name, *extra):
         d = tmp_path / name

@@ -12,6 +12,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meansombor.graphs import (
     MAX_VERTICES,
@@ -37,6 +39,7 @@ from meansombor.graphs import (
     to_edge_list_text,
     tree_centroids,
 )
+from meansombor.graphs import _bfs
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +143,37 @@ def test_regularity_empty_edge_set():
     assert regularity_class(Graph(3, frozenset())) is RegularityTag.NEITHER
 
 
+def _reached_from_zero(g):
+    # the breadth-first walk the union-find replaced, as its oracle
+    return len(_bfs(g, 0)[1]) == g.vertex_count
+
+
 def test_is_connected(p3):
     assert is_connected(p3)
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1, frozenset()))
     assert not is_connected(disjoint_union(complete_graph(3), complete_graph(4)))
+    trees = [t for n in range(1, 11) for t in enumerate_trees(n)]
+    for g in trees + [named.graph for named in random_connected_graphs(200, 5)]:
+        assert is_connected(g) and _reached_from_zero(g)
+    # a tree less any one edge falls apart into two components
+    for t in trees:
+        for e in t.edges:
+            assert not is_connected(Graph(t.vertex_count, t.edges - {e}))
+
+
+@st.composite
+def _edge_sets(draw):
+    # sparse draws leave isolated vertices and many components; n = 1 included
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, chosen)
+
+
+@given(_edge_sets())
+def test_is_connected_matches_the_breadth_first_walk(g):
+    assert is_connected(g) == _reached_from_zero(g)
 
 
 def _brute_force_centroids(g):
