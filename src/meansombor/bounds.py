@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import count
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
+    ProfileSums,
     SPECIAL_VALUES,
     ZERO_LIMIT,
     first_zagreb,
@@ -416,37 +417,6 @@ def _powers(column: np.ndarray, p: float) -> np.ndarray:
     return np.array([v**p for v in column.tolist()], dtype=float)
 
 
-class _Multisets:
-    """One multiset of items per key.  A key's sum of per-item terms is one
-    `math.fsum` over its items repeated by count: fsum is correctly rounded,
-    so that is the sum over the edges (vertices) they count, bit for bit."""
-
-    def __init__(self, multisets: Sequence[Sequence[tuple]]) -> None:
-        self.items = sorted({x for ms in multisets for x, _ in ms})
-        index = {x: i for i, x in enumerate(self.items)}
-        flat = [xc for ms in multisets for xc in ms]
-        positions = np.array([index[x] for x, _ in flat], dtype=np.intp)
-        self._spread = np.repeat(positions, [c for _, c in flat])
-        ends = list(accumulate((sum(c for _, c in ms) for ms in multisets), initial=0))
-        self._spans = list(zip(ends, ends[1:]))
-
-    def spread(self, terms: Sequence[float]) -> np.ndarray:
-        """Per-item terms (indexed like `items`) repeated by count, key after key."""
-        return np.asarray(terms, dtype=float)[self._spread]
-
-    def fsums(self, spread: list[float]) -> np.ndarray:
-        """Each key's fsum of terms laid out as `spread` lays them."""
-        return np.array([math.fsum(spread[s:e]) for s, e in self._spans], dtype=float)
-
-    def sums(self, terms: Sequence[float]) -> np.ndarray:
-        return self.fsums(self.spread(terms).tolist())
-
-    def extremes(self, terms: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Each key's largest and smallest term."""
-        spread, starts = self.spread(terms), [s for s, _ in self._spans]
-        return np.maximum.reduceat(spread, starts), np.minimum.reduceat(spread, starts)
-
-
 def _battery_rows(graphs: Sequence[Graph], connected: np.ndarray) -> Iterator[tuple]:
     """The rows of `checks_for_graph`, in its order, as columns over the
     profile keys of one sweep, from one graph per key and the keys'
@@ -456,9 +426,9 @@ def _battery_rows(graphs: Sequence[Graph], connected: np.ndarray) -> Iterator[tu
     and `BATTERY_EXPONENTS`, every other term once per distinct pair or degree.
     Each value is taken with the operations, in the order, of the check it
     mirrors, at the sweep's exponents (no Jensen row at a = 1, no sandwich at a = 2)."""
-    edges = _Multisets([g.degree_pairs for g in graphs])
+    edges = ProfileSums([g.degree_pairs for g in graphs])
     histograms = [sorted(Counter(g.degrees).items()) for g in graphs]
-    vertices = _Multisets([[(d, c) for d, c in h if d > 0] for h in histograms])
+    vertices = ProfileSums([[(d, c) for d, c in h if d > 0] for h in histograms])
     m = np.array([g.edge_count for g in graphs], dtype=np.int64)
     m1 = np.array([float(sum(d * d * c for d, c in h)) for h in histograms])
     extremes = [(h[0][0], h[-1][0]) for h in histograms]

@@ -13,14 +13,14 @@ first Zagreb, Sombor, the (a,b)-KA family, and the min/max edge sums).
 exponents with the classical expression mSO equals there; the CLI's
 `compute` prints it and :func:`bounds.check_chain` orders its rows from
 -1 to 2.  Every edge sum reads the graph's degree-pair profile through
-:func:`pair_sum`.
+:func:`pair_sum`, or through :class:`ProfileSums` for many graphs at once.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal
-from itertools import chain, repeat, starmap
+from itertools import accumulate, chain, repeat, starmap
 from typing import Callable, Sequence
 
 import numpy as np
@@ -196,6 +196,38 @@ def pair_sum(g: Graph, term: Callable[[int, int], float]) -> float:
         return 0.0
     pairs, counts = zip(*g.degree_pairs)
     return math.fsum(chain.from_iterable(map(repeat, starmap(term, pairs), counts)))
+
+
+class ProfileSums:
+    """One multiset of items per key, such as each graph's degree pairs.  A
+    key's sum of per-item terms is one `math.fsum` over its items repeated by
+    count: fsum is correctly rounded, so that is the sum over the edges
+    (vertices) they count, bit for bit, as :func:`pair_sum` gives it."""
+
+    def __init__(self, multisets: Sequence[Sequence[tuple]]) -> None:
+        self.items = sorted({x for ms in multisets for x, _ in ms})
+        index = {x: i for i, x in enumerate(self.items)}
+        flat = [xc for ms in multisets for xc in ms]
+        positions = np.array([index[x] for x, _ in flat], dtype=np.intp)
+        self._spread = np.repeat(positions, [c for _, c in flat])
+        ends = list(accumulate((sum(c for _, c in ms) for ms in multisets), initial=0))
+        self._spans = list(zip(ends, ends[1:]))
+
+    def spread(self, terms: Sequence[float]) -> np.ndarray:
+        """Per-item terms (indexed like `items`) repeated by count, key after key."""
+        return np.asarray(terms, dtype=float)[self._spread]
+
+    def fsums(self, spread: list[float]) -> np.ndarray:
+        """Each key's fsum of terms laid out as `spread` lays them."""
+        return np.array([math.fsum(spread[s:e]) for s, e in self._spans], dtype=float)
+
+    def sums(self, terms: Sequence[float]) -> np.ndarray:
+        return self.fsums(self.spread(terms).tolist())
+
+    def extremes(self, terms: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's largest and smallest term."""
+        spread, starts = self.spread(terms), [s for s, _ in self._spans]
+        return np.maximum.reduceat(spread, starts), np.minimum.reduceat(spread, starts)
 
 
 def mean_sombor(g: Graph, a: Alpha) -> float:

@@ -7,10 +7,12 @@ grid curve is Pearson's r of every grid column at once.  The descriptor
 matrix (``indices.descriptor_matrix``, the scalar kernel once per
 distinct degree pair and exponent) is built once per command over all
 records, and each property reads its records' rows; the curve agrees
-with per-point fits to matmul rounding.  Refinement, candidate scoring
-and the reported row use the scalar path; refinement takes |r| alone,
-with no F test.  For each reported exponent the pipeline gives Pearson's
-r, the slope/intercept, the standard error of estimate, the F statistic
+with per-point fits to matmul rounding (nan where the records share one
+mSO).  Refinement and the candidates are ranked by |r| alone, from mSO
+summed over each record's degree pairs (``indices.ProfileSums``, bit for
+bit mean_sombor), and only the winner is fitted.  For each reported
+exponent the pipeline gives Pearson's r, the slope/intercept, the
+standard error of estimate, the F statistic
 ``r^2 (n-2) / (1-r^2)`` and its upper-tail significance under F(1, n-2).
 The significance is computed with an in-package regularized incomplete
 beta (continued fraction, at most 300 iterations), so p-values far below
@@ -33,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import IO, Callable, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,10 +45,9 @@ from .indices import (
     ALPHA_PLUS_INF,
     TOKEN_DIGITS,
     Alpha,
+    ProfileSums,
     ZERO_LIMIT,
     descriptor_matrix,
-    mean_sombor,
-    pair_sum,
     power_mean,
 )
 
@@ -301,10 +302,16 @@ class RegressionReport:
     n: int
 
 
+def _mso(profiles: ProfileSums, a: Alpha) -> list[float]:
+    """Each record's mSO at `a`: the kernel once per distinct degree pair,
+    then one fsum per record, so mean_sombor's value bit for bit."""
+    return profiles.sums([power_mean(x, y, a) for x, y in profiles.items]).tolist()
+
+
 def qspr_at_alpha(ds: QsprDataset, prop: str, a: Alpha) -> RegressionReport:
     """Fit the linear model of one property against mSO at one exponent."""
     recs = ds.column(prop)
-    x = [mean_sombor(rec.graph, a) for rec in recs]
+    x = _mso(ProfileSums([rec.graph.degree_pairs for rec in recs]), a)
     y = [rec.properties[prop] for rec in recs]
     fit = fit_linear(x, y)
     return RegressionReport(property=prop, alpha=a, n=len(x), **fit._asdict())
@@ -380,17 +387,20 @@ class AlphaGrid:
 def _pearson_columns(x: np.ndarray, y: Sequence[float]) -> np.ndarray:
     """Pearson r of y against every column of x, without the F test.
 
-    As in fit_linear, a constant column raises DegeneratePredictorError and
-    a constant y gives r = 0.
+    As in fit_linear, a constant y gives r = 0.  A constant column has no r
+    and reads nan; when every column is constant, this raises
+    DegeneratePredictorError, as fit_linear does on one.
     """
-    if (x.min(axis=0) == x.max(axis=0)).any():
+    constant = x.min(axis=0) == x.max(axis=0)
+    if constant.all():
         raise DegeneratePredictorError("predictor column is constant")
     yv = np.asarray(y, dtype=float)
     if yv.min() == yv.max():
-        return np.zeros(x.shape[1])
+        return np.where(constant, np.nan, 0.0)
     xc, yc = x - x.mean(axis=0), yv - yv.mean()
-    r = (yc @ xc) / np.sqrt((xc * xc).sum(axis=0) * (yc @ yc))
-    return np.clip(r, -1.0, 1.0)
+    with np.errstate(invalid="ignore"):  # 0/0 in a constant column
+        r = (yc @ xc) / np.sqrt((xc * xc).sum(axis=0) * (yc @ yc))
+    return np.where(constant, np.nan, np.clip(r, -1.0, 1.0))
 
 
 def scan_properties(
@@ -400,12 +410,14 @@ def scan_properties(
 
     Builds the grid, its float array and the descriptor matrix over all
     records once, and checks once that the matrix is monotone in alpha; a
-    property's grid curve is Pearson's r over the rows of its records.
+    property's grid curve is Pearson's r over the rows of its records (nan
+    where those rows share one mSO, an exponent never picked).
     Refines around the best finite grid point (largest |r|, then smallest
     |alpha|, then the earlier point) with a golden-section search to
     bracket width 1e-3, then picks the best of {refined finite, 0-limit,
     -inf, +inf}; ties prefer the smaller |alpha|, then the smaller alpha.
-    Returns the winning report and the (alpha, r) grid curve per property.
+    Returns the report of the winner, the one exponent fitted, and the
+    (alpha, r) grid curve per property.
     """
     columns = [ds.column(p) for p in props]
     grid = grid or AlphaGrid()
@@ -422,8 +434,9 @@ def scan_properties(
         rows = [i for i, rec in enumerate(ds.records) if prop in rec.properties]
         y = [rec.properties[prop] for rec in recs]
         r = _pearson_columns(x_all[rows], y)
-        best = _best_finite_point(alphas, finite, r)
-        report = _best_alpha(ds, prop, (points[best], float(r[best])), grid)
+        best = points[_best_finite_point(alphas, finite, r)]
+        profiles = ProfileSums([rec.graph.degree_pairs for rec in recs])
+        report = qspr_at_alpha(ds, prop, _best_alpha(profiles, y, best, grid))
         scans.append((report, list(zip(points, r.tolist()))))
     return scans
 
@@ -437,64 +450,45 @@ def alpha_scan(
 
 def _best_finite_point(alphas: np.ndarray, finite: np.ndarray, r: np.ndarray) -> int:
     """Position of the best finite grid point: the largest |r|, then the
-    smallest |alpha|, then the earlier point (so -alpha before +alpha).
+    smallest |alpha|, then the earlier point (so -alpha before +alpha); a
+    point with no r (nan) comes after every point with one.
 
     `finite` holds the positions of the finite points in `alphas`.  One
     lexsort, which is stable and sorts on its last key first."""
     return int(finite[np.lexsort((np.abs(alphas[finite]), -np.abs(r[finite])))[0]])
 
 
-def _refinement_objective(recs: Sequence[QsprRecord], prop: str) -> Callable[[float], float]:
-    """|r| of the property at one exponent, bit for bit as qspr_at_alpha
-    computes it, without the F test: the kernel once per distinct degree
-    pair of the records, and each record's mSO one fsum over its pairs
-    (mean_sombor's value)."""
-    graphs = [rec.graph for rec in recs]
-    y = [rec.properties[prop] for rec in recs]
-    pairs = {p for g in graphs for p, _ in g.degree_pairs}
+def _abs_r(profiles: ProfileSums, y: Sequence[float], a: Alpha) -> float:
+    """|r| of y on the records' mSO at `a`, bit for bit |qspr_at_alpha(...).r|,
+    without the F test; -inf, below every |r|, where the records share one
+    mSO and there is no r."""
+    try:
+        return abs(_pearson(_mso(profiles, a), y)[0])
+    except DegeneratePredictorError:
+        return -math.inf
+
+
+def _best_alpha(profiles: ProfileSums, y: Sequence[float], best: Alpha, grid: AlphaGrid) -> Alpha:
+    """The best exponent: the best finite grid point refined by golden
+    section, against the three limit points, all ranked by `_abs_r`."""
 
     def abs_r(v: float) -> float:
-        a = Alpha(v)
-        pm = {p: power_mean(*p, a) for p in pairs}
-        return abs(_pearson([pair_sum(g, lambda lo, hi: pm[lo, hi]) for g in graphs], y)[0])
+        return _abs_r(profiles, y, Alpha(v))
 
-    return abs_r
-
-
-def _best_alpha(
-    ds: QsprDataset, prop: str, start: tuple[Alpha, float], grid: AlphaGrid
-) -> RegressionReport:
-    """The report of the best exponent: the best finite grid point `start`
-    (exponent, grid r) refined by golden section, against the three limit
-    points."""
-    best_finite, best_finite_r = start
-    lo = max(best_finite - grid.step, grid.lo)
-    hi = min(best_finite + grid.step, grid.hi)
-    refined = _golden_section_max(
-        _refinement_objective(ds.column(prop), prop),
-        lo,
-        hi,
-        tol=1e-3,
-        seed=(best_finite, abs(best_finite_r)),
-    )
+    lo, hi = max(best - grid.step, grid.lo), min(best + grid.step, grid.hi)
+    refined = _golden_section_max(abs_r, lo, hi, tol=1e-3, seed=best)
     candidates = (Alpha(refined), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF)
-    return min(
-        (qspr_at_alpha(ds, prop, a) for a in candidates),
-        key=lambda rep: (-abs(rep.r), abs(rep.alpha), rep.alpha),
-    )
+    return min(candidates, key=lambda a: (-abs_r(a), abs(a), a))
 
 
-def _golden_section_max(
-    fun, lo: float, hi: float, tol: float, seed: tuple[float, float]
-) -> float:
+def _golden_section_max(fun, lo: float, hi: float, tol: float, seed: float) -> float:
     """Golden-section search for the maximizer of fun on [lo, hi].
 
-    Returns the best point among the evaluated ones and `seed`, an
-    already-known (x, fun(x)) pair, so refinement never loses to the
-    starting grid point.
+    Returns the best point among the evaluated ones and `seed`, so
+    refinement never loses to the starting grid point.
     """
     a, b = float(lo), float(hi)
-    best_x, best_f = seed
+    best_x, best_f = seed, fun(seed)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fun(c), fun(d)

@@ -15,13 +15,15 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meansombor.graphs import default_corpus, random_connected_graphs
+from meansombor.graphs import Graph, default_corpus, random_connected_graphs
 from meansombor.indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
+    ProfileSums,
     ZERO_LIMIT,
     mean_sombor,
+    pair_sum,
     power_mean,
     power_mean_grid,
 )
@@ -123,3 +125,18 @@ def test_power_mean_grid_agrees_with_scalar_kernel(pairs, alphas):
     for (x, y), row in zip(pairs, grid.tolist()):
         for a, v in zip(alphas, row):
             assert v == power_mean(x, y, a)
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    return Graph(n, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True))))
+
+
+@given(st.lists(edge_sets(), min_size=1, max_size=6), exponents)
+def test_profile_sums_equal_pair_sum_per_graph(graphs, a):
+    profiles = ProfileSums([g.degree_pairs for g in graphs])
+    for term in (lambda x, y: power_mean(x, y, a), lambda x, y: x * y / (x + y)):
+        sums = profiles.sums([term(x, y) for x, y in profiles.items])
+        assert sums.tolist() == [pair_sum(g, term) for g in graphs]

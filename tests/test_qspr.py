@@ -25,6 +25,7 @@ from meansombor.indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
+    ProfileSums,
     ZERO_LIMIT,
     descriptor_matrix,
     mean_sombor,
@@ -556,19 +557,60 @@ def test_curve_writer_matches_csv_writer_bytes():
         assert shared.getvalue() == expected
 
 
-def test_refinement_objective_is_abs_r_of_the_fit_bit_for_bit():
+def test_profile_mso_is_mean_sombor_bit_for_bit():
     ds = load_dataset(SKELETONS, three_property_csv())
-    exponents = [1e-9, -3e-7, 0.001, -0.02, 0.5, -0.999, 1.0, 1.37, -2.5, 7.25, -38.0, 400.0]
+    finite = [1e-9, -3e-7, 0.001, -0.02, 0.5, -0.999, 1.0, 1.37, -2.5, 7.25, -38.0, 400.0]
+    exponents = [*map(Alpha.finite, finite), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
     for prop in ds.property_names:
         recs = ds.column(prop)
+        profiles = ProfileSums([rec.graph.degree_pairs for rec in recs])
         y = [rec.properties[prop] for rec in recs]
-        objective = qspr._refinement_objective(recs, prop)
-        for v in exponents:
-            x = [mean_sombor(rec.graph, Alpha.finite(v)) for rec in recs]
-            assert objective(v) == abs(fit_linear(x, y).r), (prop, v)
+        for a in exponents:
+            x = [mean_sombor(rec.graph, a) for rec in recs]
+            assert qspr._mso(profiles, a) == x, (prop, a)
+            assert qspr._abs_r(profiles, y, a) == abs(fit_linear(x, y).r), (prop, a)
 
 
-def test_scan_command_fits_four_candidates_and_formats_one_token_list(monkeypatch, tmp_path):
+# four octanes whose mSO coincide at -inf, and only there on the grid -2:2:0.5
+SHARED_AT_MINUS_INF = (
+    "3-ethyl-3-methylpentane",
+    "2,3,3-trimethylpentane",
+    "2,2,3,3-tetramethylbutane",
+    "2,2,3-trimethylpentane",
+)
+
+
+def test_scan_gives_a_degenerate_exponent_no_r(tmp_path):
+    table = tmp_path / "props.csv"
+    table.write_text(make_csv(zip(SHARED_AT_MINUS_INF, ("1", "4", "2.5", "3")), ["name", "P"]))
+    ds = load_dataset(SKELETONS, table.read_text())
+    with pytest.raises(DegeneratePredictorError):
+        qspr_at_alpha(ds, "P", ALPHA_MINUS_INF)
+    best, curve = alpha_scan(ds, "P", AlphaGrid(-2, 2, 0.5))
+    assert curve[0][0] == ALPHA_MINUS_INF and math.isnan(curve[0][1])
+    assert all(math.isfinite(r) for _, r in curve[1:])
+    assert best.alpha != ALPHA_MINUS_INF and best == qspr_at_alpha(ds, "P", best.alpha)
+    curves, out = tmp_path / "curves", tmp_path / "scan.csv"
+    argv = ["scan", "--properties", str(table), "--alpha-range", "-2:2:0.5"]
+    assert main(argv + ["--curve-out", str(curves), "--out", str(out)]) == 0
+    assert (curves / "curve-P.csv").read_text().splitlines()[1] == "-inf,nan"
+    assert out.read_text().splitlines()[1].startswith(f"P,{best.alpha.token()},")
+
+
+def test_pearson_columns_gives_a_constant_column_no_r():
+    # three copies of v do not average to v, so the centred column is not
+    # exactly zero: the rule, not the rounding, must give the nan
+    v = 13.436424411240122
+    x = np.array([[v, 1.0], [v, 2.0], [v, 4.0]])
+    assert x[:, 0].mean() != v
+    r = qspr._pearson_columns(x, [1.0, 3.0, 2.0])
+    assert math.isnan(r[0]) and math.isfinite(r[1])
+    assert np.isnan(qspr._pearson_columns(x, [5.0, 5.0, 5.0])).tolist() == [True, False]
+    with pytest.raises(DegeneratePredictorError):
+        qspr._pearson_columns(x[:, :1], [1.0, 3.0, 2.0])
+
+
+def test_scan_command_fits_once_per_property_and_formats_one_token_list(monkeypatch, tmp_path):
     table = tmp_path / "props.csv"
     table.write_text(three_property_csv(), encoding="utf-8")
     calls = {"fit_linear": 0, "token": 0}
@@ -590,7 +632,7 @@ def test_scan_command_fits_four_candidates_and_formats_one_token_list(monkeypatc
     ]
     assert main(argv) == 0
     points, props = len(AlphaGrid(-2, 2, 0.01).points()), 3
-    assert calls["fit_linear"] == 4 * props
+    assert calls["fit_linear"] == props
     assert calls["token"] <= points + props
     assert len(list((tmp_path / "curves").iterdir())) == props
 
