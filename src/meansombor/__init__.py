@@ -12,7 +12,6 @@ from .graphs import (
     GraphParseError,
     NamedGraph,
     RegularityTag,
-    canonical_form,
     complete_bipartite,
     complete_graph,
     cycle_graph,

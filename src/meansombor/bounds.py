@@ -1,15 +1,26 @@
 """Mechanical verification of the inequality catalog for mean Sombor indices.
 
-Each check evaluates both sides of one proved inequality on a concrete
-graph and returns a :class:`BoundReport` with the observed slack, the
-equality case predicted by the theorem's equality clause, and whether the
-clause applies to the input (some clauses require connectivity).  A report
-"passes" when the slack is nonnegative up to floating-point tolerance and,
-where applicable, the predicted and observed equality agree.
+Every check depends only on a graph's profile key (degree pairs, vertex
+count, connected).  Each proved inequality is one family: a function of
+`_KeyColumns`, the columns of a list of keys taken from the keys alone, and
+of an array of exponents (monotonicity takes a pair of arrays).  It yields
+one row per exponent, (bound_id, alpha, lhs, rhs, equality_predicted,
+equality_applicable, strict_expected), oriented so that lhs <= rhs is the
+claim, each side a column over the keys and each flag a bool or a bool
+column.  `run_verification` runs every family at its sweep exponents over
+the distinct keys of a corpus into a `VerificationTable`, which the CLI
+`verify` subcommand writes.  Each public ``check_*`` is a view of its family
+on one graph's key at one exponent, and `checks_for_graph` every family on
+one key: a list of :class:`BoundReport`.  A report "passes" when the slack is
+nonnegative up to floating-point tolerance and, where applicable, the
+predicted and observed equality agree (`verdict`).
 
-`run_verification` sweeps every check over a graph corpus (plus seeded
-random connected graphs) into a `VerificationTable`, and is what the CLI
-`verify` subcommand runs.
+Each column entry equals the formula taken on one graph with floats, bit
+for bit.  Every edge or vertex sum is one `math.fsum` per key, as
+`pair_sum` takes it; per-key arithmetic on a side that can overflow is
+CPython's, which raises where numpy would return inf or nan; numpy does
+only + - * /, sqrt, min/max and comparisons, which IEEE arithmetic rounds
+alike everywhere.
 """
 
 from __future__ import annotations
@@ -22,36 +33,20 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import (
-    Graph,
-    NamedGraph,
-    all_components_regular,
-    degree_extremes,
-    is_connected,
-    random_connected_graphs,
-    regularity_class,
-    RegularityTag,
-)
+from .graphs import Graph, NamedGraph, is_connected, random_connected_graphs
 from .indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
     ProfileSums,
-    SPECIAL_VALUES,
     ZERO_LIMIT,
-    first_zagreb,
-    ka_index,
-    mean_sombor,
     power_mean_grid,
-    reciprocal_randic,
-    sombor,
-    variable_first_zagreb,
 )
-from .spectral import variance_identity
+from .spectral import variance_columns
 
 DEFAULT_RANDOM_SEED = 20240803
 
@@ -147,87 +142,85 @@ class BoundReport:
     ok = property(lambda self: self.verdict.ok)
 
 
-def check_monotonicity(g: Graph, a1: Alpha, a2: Alpha, graph_id: str = "") -> BoundReport:
-    """mSO is nondecreasing in the exponent: mSO_{a1} <= mSO_{a2} for a1 < a2,
-    with equality exactly when every edge joins equal degrees."""
-    if not a1 < a2:
-        raise ValueError(f"need a1 < a2 in the extended order, got {a1} >= {a2}")
-    balanced = all_components_regular(g)
-    return BoundReport(
-        bound_id="monotonicity",
-        graph_id=graph_id,
-        alpha=a2,
-        lhs=mean_sombor(g, a1),
-        rhs=mean_sombor(g, a2),
-        equality_predicted=balanced,
-        strict_expected=not balanced,
-    )
+def _profile_key(g: Graph) -> tuple:
+    """The key every check reads of a graph: (degree pairs, vertex count, connected)."""
+    return g.degree_pairs, g.vertex_count, is_connected(g)
 
 
-_CHAIN_IDS = ("chain-2isi-r1", "chain-r1-ka", "chain-ka-m1", "chain-m1-so")
+def _vertex_histogram(pairs: Sequence[tuple[tuple[int, int], int]]) -> list[tuple[int, int]]:
+    """(degree, vertex count) of each positive degree of a degree-pair profile:
+    the edges' ends at degree d, divided by d."""
+    ends: dict[int, int] = {}
+    for (x, y), c in pairs:
+        ends[x] = ends.get(x, 0) + c
+        ends[y] = ends.get(y, 0) + c
+    return sorted((d, e // d) for d, e in ends.items())
 
 
-def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
-    """The five-term special-value chain
-    2 ISI <= R^{-1} <= 2^{-2} KA(1/2,2) <= M1/2 <= 2^{-1/2} SO:
-    mSO's monotonicity through the rows of `indices.SPECIAL_VALUES` at
-    a = -1, 0, 1/2, 1 and 2, each term computed once from the row's own
-    classical edge/vertex sum, not through the power mean."""
-    terms = [fn(g) for a, _, fn in SPECIAL_VALUES if -1.0 <= a <= 2.0]
-    balanced = all_components_regular(g)
-    return [
-        BoundReport(
-            bound_id=bid,
-            graph_id=graph_id,
-            alpha=None,
-            lhs=lhs,
-            rhs=rhs,
-            equality_predicted=balanced,
-            strict_expected=not balanced,
+class _KeyColumns:
+    """What the bound families read of profile keys (degree pairs, vertex
+    count, connected), as columns over the keys, from the keys alone.
+
+    The vertices of positive degree follow from the pairs (`_vertex_histogram`),
+    and the rest of the vertex count is isolated.  Sums over edges go through
+    `edges` and sums over vertices of positive degree through `vertices`, each
+    one `math.fsum` per key, the value `pair_sum` and `variable_first_zagreb`
+    give on a graph with the key.
+    """
+
+    def __init__(self, keys: list[tuple]) -> None:
+        self.keys = keys
+        profiles = [pairs for pairs, _, _ in keys]
+        histograms = [_vertex_histogram(pairs) for pairs in profiles]
+        isolated = [n - sum(c for _, c in h) for (_, n, _), h in zip(keys, histograms)]
+        degrees = [tuple(d for d, _ in h) for h in histograms]
+        self.edges = ProfileSums(profiles)
+        self.vertices = ProfileSums(histograms)
+        self.m = np.array([sum(c for _, c in pairs) for pairs in profiles], dtype=np.int64)
+        self.m1 = np.array([float(sum(d * d * c for d, c in h)) for h in histograms])
+        # minimum and maximum degree, isolated vertices included
+        self.extremes = [(0 if i else ds[0], ds[-1] if ds else 0) for ds, i in zip(degrees, isolated)]
+        self.connected = np.array([c for _, _, c in keys], dtype=bool)
+        # every edge joins equal degrees: every component is regular
+        self.balanced = np.array([all(x == y for (x, y), _ in p) for p in profiles], dtype=bool)
+        self.regular = np.array([len(ds) == 1 and not i for ds, i in zip(degrees, isolated)], dtype=bool)
+        self.regular_or_biregular = self.regular | np.array(
+            [len(ds) == 2 and not i and all(p == ds for p, _ in pairs)
+             for ds, i, pairs in zip(degrees, isolated, profiles)],
+            dtype=bool,
         )
-        for bid, lhs, rhs in zip(_CHAIN_IDS, terms, terms[1:])
-    ]
+        self._pm: dict[Alpha, np.ndarray] = {}
+        self._mso: dict[Alpha, np.ndarray] = {}
 
+    def pm(self, a: Alpha) -> np.ndarray:
+        """PM_a of each distinct pair, indexed like `edges.items`."""
+        if a not in self._pm:
+            self._pm[a] = power_mean_grid(self.edges.items, [a])[:, 0]
+        return self._pm[a]
 
-def _jensen_rhs(g: Graph, alpha: float) -> float:
-    m = g.edge_count
-    return (
-        m ** (1.0 - 1.0 / alpha)
-        / 2.0 ** (1.0 / alpha)
-        * variable_first_zagreb(g, alpha + 1.0) ** (1.0 / alpha)
-    )
+    def mso(self, a: Alpha) -> np.ndarray:
+        """Each key's mSO_a."""
+        if a not in self._mso:
+            self._mso[a] = self.edges.sums(self.pm(a))
+        return self._mso[a]
 
+    def edge_sum(self, term: Callable[[int, int], float]) -> np.ndarray:
+        """Each key's sum over its edges of term(d_lo, d_hi)."""
+        return self.edges.sums([term(x, y) for x, y in self.edges.items])
 
-def check_jensen_m1_bound(g: Graph, alpha: float, graph_id: str = "") -> BoundReport:
-    """Jensen bound against the variable first Zagreb index:
-    mSO_a <= (m^{1-1/a}/2^{1/a}) (sum d^{a+1})^{1/a} for a > 1, reversed for
-    a < 1 (a != 0); equality on a connected graph iff it is regular or
-    biregular (equality is unconditional at a = 1)."""
-    if alpha == 0.0:
-        raise ValueError("the Jensen bound needs a nonzero exponent")
-    if g.edge_count == 0:
-        raise ValueError("the Jensen bound needs at least one edge")
-    mso = mean_sombor(g, Alpha.finite(alpha))
-    bound = _jensen_rhs(g, alpha)
-    if alpha >= 1.0:
-        lhs, rhs = mso, bound
-    else:
-        lhs, rhs = bound, mso
-    if alpha == 1.0:
-        predicted = True
-        applicable = True
-    else:
-        predicted = regularity_class(g) is not RegularityTag.NEITHER
-        applicable = is_connected(g)
-    return BoundReport(
-        bound_id="jensen-m1",
-        graph_id=graph_id,
-        alpha=Alpha.finite(alpha),
-        lhs=lhs,
-        rhs=rhs,
-        equality_predicted=predicted,
-        equality_applicable=applicable,
-    )
+    @cached_property
+    def reciprocal_randic(self) -> np.ndarray:
+        """Each key's R^{-1}, the edge sum of sqrt(d_u d_v)."""
+        return self.edge_sum(lambda x, y: math.sqrt(x * y))
+
+    @cached_property
+    def sombor(self) -> np.ndarray:
+        """Each key's SO, the edge sum of hypot(d_u, d_v)."""
+        return self.edge_sum(math.hypot)
+
+    def variable_m1(self, p: float) -> np.ndarray:
+        """Each key's sum of d^p over its vertices of positive degree."""
+        return self.vertices.sums([d**p for d in self.vertices.items])
 
 
 def kp_constant(a: float, b: float, p: float) -> float:
@@ -264,242 +257,127 @@ def kalpha_constant(delta: int, Delta: int, alpha: float) -> float:
     return kp_constant(float(delta), float(Delta), 1.0 / alpha) ** (1.0 / alpha)
 
 
-def check_kalpha_bound(g: Graph, alpha: float, graph_id: str = "") -> BoundReport:
-    """Converse-Holder upper bound for 0 < a < 1:
-    mSO_a <= (m^{1-1/a}/2^{1/a}) K_a (sum d^{a+1})^{1/a},
-    equality iff the graph is regular."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("the converse-Holder bound needs 0 < alpha < 1")
-    if g.edge_count == 0:
-        raise ValueError("the converse-Holder bound needs at least one edge")
-    delta, Delta = degree_extremes(g)
-    if delta < 1:
-        raise ValueError("the converse-Holder bound needs minimum degree >= 1")
-    rhs = _jensen_rhs(g, alpha) * kalpha_constant(delta, Delta, alpha)
-    return BoundReport(
-        bound_id="kalpha",
-        graph_id=graph_id,
-        alpha=Alpha.finite(alpha),
-        lhs=mean_sombor(g, Alpha.finite(alpha)),
-        rhs=rhs,
-        equality_predicted=regularity_class(g) is RegularityTag.REGULAR,
-    )
+def _monotonicity(k: _KeyColumns, lower: Sequence[Alpha], upper: Sequence[Alpha]) -> Iterator[tuple]:
+    """`check_monotonicity` at each pair (lower[i], upper[i])."""
+    for a1, a2 in zip(lower, upper):
+        if not a1 < a2:
+            raise ValueError(f"need a1 < a2 in the extended order, got {a1} >= {a2}")
+        yield "monotonicity", a2, k.mso(a1), k.mso(a2), k.balanced, True, ~k.balanced
 
 
-def check_so_sandwich(g: Graph, a: Alpha, graph_id: str = "") -> list[BoundReport]:
-    """Sandwich of mSO_a between Sombor-index multiples:
-
-    0 < a < 2:  2^{-1/a} SO <  mSO_a <= 2^{-1/2} SO
-    a > 2:      2^{-1/2} SO <= mSO_a <  2^{-1/a} SO   (2^{-1/a} = 1 at +inf)
-    a <= 0:     mSO_a <= 2^{-1/2} SO                  (0 and -inf included)
-
-    Non-strict links attain equality iff every connected component is
-    regular; a = 2 is the definitional identity mSO_2 = 2^{-1/2} SO.
-    """
-    so = sombor(g)
-    mso = mean_sombor(g, a)
-    regular = all_components_regular(g)
-    unbalanced = not regular
-    reports: list[BoundReport] = []
-
-    def rep(bid: str, lhs: float, rhs: float, predicted: bool, strict: bool) -> BoundReport:
-        return BoundReport(
-            bound_id=bid,
-            graph_id=graph_id,
-            alpha=a,
-            lhs=lhs,
-            rhs=rhs,
-            equality_predicted=predicted,
-            strict_expected=strict,
-        )
-
-    if 0.0 < a < 2.0:
-        lower = 2.0 ** (-1.0 / a) * so
-        reports.append(rep("so-sandwich-lower", lower, mso, False, unbalanced))
-        reports.append(rep("so-sandwich-upper", mso, 2.0**-0.5 * so, regular, False))
-    elif a == 2.0:
-        reports.append(rep("so-sandwich-eq2", mso, 2.0**-0.5 * so, True, False))
-    elif a > 2.0:
-        reports.append(rep("so-sandwich-lower", 2.0**-0.5 * so, mso, regular, False))
-        # at +inf the upper link is strict on any edge, regular or not
-        strict = g.edge_count > 0 if math.isinf(a) else unbalanced
-        reports.append(rep("so-sandwich-upper", mso, 2.0 ** (-1.0 / a) * so, False, strict))
-    else:  # finite a < 0, the 0-limit, or -inf
-        reports.append(rep("so-sandwich-upper", mso, 2.0**-0.5 * so, regular, False))
-    return reports
+_CHAIN_IDS = ("chain-2isi-r1", "chain-r1-ka", "chain-ka-m1", "chain-m1-so")
 
 
-def check_ka_powersum_bound(
-    g: Graph, alpha: float, beta: float, graph_id: str = ""
-) -> BoundReport:
-    """Power-sum comparison for the (a,b)-KA index:
-    KA_{a,b} >= m^{1-b} (sum d^{a+1})^b for b <= 0 or b >= 1, reversed on
-    0 <= b <= 1; equality at b in {0,1} or when all edge terms coincide."""
-    m = g.edge_count
-    if m == 0:
-        raise ValueError("the power-sum bound needs at least one edge")
-    ka = ka_index(g, alpha, beta)
-    base = m ** (1.0 - beta) * variable_first_zagreb(g, alpha + 1.0) ** beta
-    if beta <= 0.0 or beta >= 1.0:
-        lhs, rhs = base, ka
-    else:
-        lhs, rhs = ka, base
-    terms = [x**alpha + y**alpha for (x, y), _ in g.degree_pairs]
-    spread = max(terms) - min(terms)
-    predicted = beta in (0.0, 1.0) or spread <= 1e-12 * max(terms)
-    return BoundReport(
-        bound_id=f"ka-powersum(b={beta:g})",
-        graph_id=graph_id,
-        alpha=Alpha.finite(alpha),
-        lhs=lhs,
-        rhs=rhs,
-        equality_predicted=predicted,
-    )
-
-
-def check_mso2_m1_m2_bound(g: Graph, graph_id: str = "") -> BoundReport:
-    """mSO_2 <= M1 - (variable second Zagreb at 1/2), with equality iff
-    every connected component is regular."""
-    return BoundReport(
-        bound_id="mso2-m1-m2",
-        graph_id=graph_id,
-        alpha=Alpha.finite(2),
-        lhs=mean_sombor(g, Alpha.finite(2)),
-        rhs=first_zagreb(g) - reciprocal_randic(g),
-        equality_predicted=all_components_regular(g),
-    )
-
-
-def _variance_identity_report(g: Graph, a: Alpha, graph_id: str) -> BoundReport:
-    _, mso, radicand = variance_identity(g, a)
-    return BoundReport(
-        bound_id="variance-identity",
-        graph_id=graph_id,
-        alpha=a,
-        lhs=mso,
-        rhs=math.sqrt(max(radicand, 0.0)),
-        equality_predicted=True,
-    )
-
-
-def checks_for_graph(named: NamedGraph) -> list[BoundReport]:
-    """Every check in the catalog, at its sweep exponents, for one graph."""
-    g, gid = named.graph, named.name
-    out: list[BoundReport] = []
-    for a1, a2 in zip(MONOTONICITY_GRID, MONOTONICITY_GRID[1:]):
-        out.append(check_monotonicity(g, a1, a2, gid))
-    out.extend(check_chain(g, gid))
-    for alpha in JENSEN_ALPHAS:
-        out.append(check_jensen_m1_bound(g, alpha, gid))
-    for alpha in KALPHA_ALPHAS:
-        out.append(check_kalpha_bound(g, alpha, gid))
-    for a in SANDWICH_ALPHAS:
-        out.extend(check_so_sandwich(g, a, gid))
-    for alpha in POWERSUM_ALPHAS:
-        for beta in POWERSUM_BETAS:
-            out.append(check_ka_powersum_bound(g, alpha, beta, gid))
-    out.append(check_mso2_m1_m2_bound(g, gid))
-    for a in VARIANCE_ALPHAS:
-        out.append(_variance_identity_report(g, a, gid))
-    return out
-
-
-# Every exponent at which the battery takes mSO.
-BATTERY_EXPONENTS: tuple[Alpha, ...] = tuple(sorted({
-    *MONOTONICITY_GRID, *SANDWICH_ALPHAS, *VARIANCE_ALPHAS,
-    *map(Alpha.finite, JENSEN_ALPHAS + KALPHA_ALPHAS + (2.0,)),
-}))
-
-
-def _powers(column: np.ndarray, p: float) -> np.ndarray:
-    """Each entry to the power p, by CPython's `**` (numpy's power can
-    round differently)."""
-    return np.array([v**p for v in column.tolist()], dtype=float)
-
-
-def _battery_rows(graphs: Sequence[Graph], connected: np.ndarray) -> Iterator[tuple]:
-    """The rows of `checks_for_graph`, in its order, as columns over the
-    profile keys of one sweep, from one graph per key and the keys'
-    connectivity: (bound_id, alpha, lhs, rhs, equality_predicted,
-    equality_applicable, strict_expected), each flag a bool or a bool column.
-    mSO comes from one `power_mean_grid` table over the keys' distinct pairs
-    and `BATTERY_EXPONENTS`, every other term once per distinct pair or degree.
-    Each value is taken with the operations, in the order, of the check it
-    mirrors, at the sweep's exponents (no Jensen row at a = 1, no sandwich at a = 2)."""
-    edges = ProfileSums([g.degree_pairs for g in graphs])
-    histograms = [sorted(Counter(g.degrees).items()) for g in graphs]
-    vertices = ProfileSums([[(d, c) for d, c in h if d > 0] for h in histograms])
-    m = np.array([g.edge_count for g in graphs], dtype=np.int64)
-    m1 = np.array([float(sum(d * d * c for d, c in h)) for h in histograms])
-    extremes = [(h[0][0], h[-1][0]) for h in histograms]
-    tags = [regularity_class(g) for g in graphs]
-    regular = np.array([t is RegularityTag.REGULAR for t in tags], dtype=bool)
-    regular_or_biregular = np.array([t is not RegularityTag.NEITHER for t in tags], dtype=bool)
-    balanced = np.array([all_components_regular(g) for g in graphs], dtype=bool)
-    unbalanced = ~balanced
-    pm = dict(zip(BATTERY_EXPONENTS, power_mean_grid(edges.items, BATTERY_EXPONENTS).T))
-    mso = {a: edges.sums(column) for a, column in pm.items()}
-
-    def variable_m1(p: float) -> np.ndarray:
-        """Each key's sum of d^p over its vertices of positive degree."""
-        return vertices.sums([d**p for d in vertices.items])
-
-    def jensen_rhs(alpha: float) -> np.ndarray:
-        """`_jensen_rhs` of each key."""
-        e = 1.0 / alpha
-        return _powers(m, 1.0 - e) / 2.0**e * _powers(variable_m1(alpha + 1.0), e)
-
-    for a1, a2 in zip(MONOTONICITY_GRID, MONOTONICITY_GRID[1:]):
-        yield "monotonicity", a2, mso[a1], mso[a2], balanced, True, unbalanced
-    pairs, edge_sums = edges.items, edges.sums
-    rr = edge_sums([math.sqrt(x * y) for x, y in pairs])
-    so = edge_sums([math.hypot(x, y) for x, y in pairs])
-    chain = [
-        2.0 * edge_sums([x * y / (x + y) for x, y in pairs]),
-        rr,
-        0.25 * edge_sums([(x**0.5 + y**0.5) ** 2.0 for x, y in pairs]),
-        m1 / 2.0,
-        2.0**-0.5 * so,
+def _chain(k: _KeyColumns) -> Iterator[tuple]:
+    """`check_chain`: the Table 2 terms at a = -1, 0, 1/2, 1 and 2, each from
+    its own classical sum, not through the power mean."""
+    terms = [
+        2.0 * k.edge_sum(lambda x, y: x * y / (x + y)),
+        k.reciprocal_randic,
+        0.25 * k.edge_sum(lambda x, y: (x**0.5 + y**0.5) ** 2.0),
+        k.m1 / 2.0,
+        2.0**-0.5 * k.sombor,
     ]
-    for bound_id, lhs, rhs in zip(_CHAIN_IDS, chain, chain[1:]):
-        yield bound_id, None, lhs, rhs, balanced, True, unbalanced
-    for alpha in JENSEN_ALPHAS:
-        bound = jensen_rhs(alpha)
-        lhs, rhs = (mso[alpha], bound) if alpha >= 1.0 else (bound, mso[alpha])
-        yield "jensen-m1", Alpha.finite(alpha), lhs, rhs, regular_or_biregular, connected, False
-    for alpha in KALPHA_ALPHAS:
-        k = {e: kalpha_constant(*e, alpha) for e in set(extremes)}
-        rhs = jensen_rhs(alpha) * np.array([k[e] for e in extremes])
-        yield "kalpha", Alpha.finite(alpha), mso[alpha], rhs, regular, True, False
+    for bound_id, lhs, rhs in zip(_CHAIN_IDS, terms, terms[1:]):
+        yield bound_id, None, lhs, rhs, k.balanced, True, ~k.balanced
+
+
+def _jensen_bound(k: _KeyColumns, alpha: float) -> np.ndarray:
+    """(m^{1-1/a} / 2^{1/a}) (sum d^{a+1})^{1/a} of each key."""
+    e = 1.0 / alpha
+    sums = k.variable_m1(alpha + 1.0).tolist()
+    return np.array([m ** (1.0 - e) / 2.0**e * s**e for m, s in zip(k.m.tolist(), sums)])
+
+
+def _jensen_m1(k: _KeyColumns, alphas: Sequence[float]) -> Iterator[tuple]:
+    """`check_jensen_m1_bound` at each exponent."""
+    for alpha in alphas:
+        if alpha == 0.0:
+            raise ValueError("the Jensen bound needs a nonzero exponent")
+        if not k.m.all():
+            raise ValueError("the Jensen bound needs at least one edge")
+        a = Alpha.finite(alpha)
+        mso, bound = k.mso(a), _jensen_bound(k, alpha)
+        lhs, rhs = (mso, bound) if alpha >= 1.0 else (bound, mso)
+        clause = (True, True) if alpha == 1.0 else (k.regular_or_biregular, k.connected)
+        yield "jensen-m1", a, lhs, rhs, *clause, False
+
+
+def _kalpha(k: _KeyColumns, alphas: Sequence[float]) -> Iterator[tuple]:
+    """`check_kalpha_bound` at each exponent."""
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("the converse-Holder bound needs 0 < alpha < 1")
+        if not k.m.all():
+            raise ValueError("the converse-Holder bound needs at least one edge")
+        if any(delta < 1 for delta, _ in k.extremes):
+            raise ValueError("the converse-Holder bound needs minimum degree >= 1")
+        bound = _jensen_bound(k, alpha)
+        constant = {e: kalpha_constant(*e, alpha) for e in set(k.extremes)}
+        rhs = bound * np.array([constant[e] for e in k.extremes])
+        yield "kalpha", Alpha.finite(alpha), k.mso(alpha), rhs, k.regular, True, False
+
+
+def _so_sandwich(k: _KeyColumns, alphas: Sequence[Alpha]) -> Iterator[tuple]:
+    """`check_so_sandwich` at each exponent: one or two links."""
+    so, balanced, unbalanced = k.sombor, k.balanced, ~k.balanced
     upper = 2.0**-0.5 * so
-    for a in SANDWICH_ALPHAS:
+    for a in alphas:
+        mso = k.mso(a)
         if 0.0 < a < 2.0:
-            yield "so-sandwich-lower", a, 2.0 ** (-1.0 / a) * so, mso[a], False, True, unbalanced
-            yield "so-sandwich-upper", a, mso[a], upper, balanced, True, False
+            yield "so-sandwich-lower", a, 2.0 ** (-1.0 / a) * so, mso, False, True, unbalanced
+            yield "so-sandwich-upper", a, mso, upper, balanced, True, False
+        elif a == 2.0:
+            yield "so-sandwich-eq2", a, mso, upper, True, True, False
         elif a > 2.0:
-            yield "so-sandwich-lower", a, upper, mso[a], balanced, True, False
-            strict = m > 0 if math.isinf(a) else unbalanced
-            yield "so-sandwich-upper", a, mso[a], 2.0 ** (-1.0 / a) * so, False, True, strict
-        else:
-            yield "so-sandwich-upper", a, mso[a], upper, balanced, True, False
-    for alpha in POWERSUM_ALPHAS:
-        terms = [x**alpha + y**alpha for x, y in pairs]
-        top, bottom = edges.extremes(terms)
-        vm1 = variable_m1(alpha + 1.0)
-        for beta in POWERSUM_BETAS:
-            ka = edge_sums([t**beta for t in terms])
-            base = _powers(m, 1.0 - beta) * _powers(vm1, beta)
+            yield "so-sandwich-lower", a, upper, mso, balanced, True, False
+            # at +inf the upper link is strict on any edge, regular or not
+            strict = k.m > 0 if math.isinf(a) else unbalanced
+            yield "so-sandwich-upper", a, mso, 2.0 ** (-1.0 / a) * so, False, True, strict
+        else:  # finite a < 0, the 0-limit, or -inf
+            yield "so-sandwich-upper", a, mso, upper, balanced, True, False
+
+
+def _ka_powersum(k: _KeyColumns, alphas: Sequence[float], betas: Sequence[float]) -> Iterator[tuple]:
+    """`check_ka_powersum_bound` at each alpha, and at each beta for it."""
+    if not k.m.all():
+        raise ValueError("the power-sum bound needs at least one edge")
+    for alpha in alphas:
+        terms = [x**alpha + y**alpha for x, y in k.edges.items]
+        sums = k.variable_m1(alpha + 1.0).tolist()
+        top, bottom = k.edges.extremes(terms)
+        for beta in betas:
+            ka = k.edges.sums([t**beta for t in terms])
+            base = np.array([m ** (1.0 - beta) * s**beta for m, s in zip(k.m.tolist(), sums)])
             lhs, rhs = (base, ka) if beta <= 0.0 or beta >= 1.0 else (ka, base)
             predicted = beta in (0.0, 1.0) or top - bottom <= 1e-12 * top
             yield f"ka-powersum(b={beta:g})", Alpha.finite(alpha), lhs, rhs, predicted, True, False
-    yield "mso2-m1-m2", Alpha.finite(2), mso[2.0], m1 - rr, balanced, True, False
-    for a in VARIANCE_ALPHAS:
-        mean = mso[a] / m
-        deviations = (edges.spread(pm[a]) - np.repeat(mean, m)).tolist()
-        sigma2 = edges.fsums([d**2 for d in deviations]) / m
-        tr = 2.0 * edge_sums([v**2 for v in pm[a].tolist()])
-        radicand = (m / 2.0) * tr - m * m * sigma2
-        yield "variance-identity", a, mso[a], np.sqrt(np.maximum(radicand, 0.0)), True, True, False
+
+
+def _mso2_m1_m2(k: _KeyColumns) -> Iterator[tuple]:
+    """`check_mso2_m1_m2_bound`."""
+    rhs = k.m1 - k.reciprocal_randic
+    yield "mso2-m1-m2", Alpha.finite(2), k.mso(2.0), rhs, k.balanced, True, False
+
+
+def _variance_identity(k: _KeyColumns, alphas: Sequence[Alpha]) -> Iterator[tuple]:
+    """mSO against the square root of the radicand of the variance identity
+    (`spectral.variance_columns`), an equality at each exponent."""
+    for a in alphas:
+        _, radicand = variance_columns(k.edges, k.m, k.pm(a), k.mso(a))
+        yield "variance-identity", a, k.mso(a), np.sqrt(np.maximum(radicand, 0.0)), True, True, False
+
+
+def _battery(k: _KeyColumns) -> Iterator[tuple]:
+    """Every family at its sweep exponents, in report order: 61 rows."""
+    yield from _monotonicity(k, MONOTONICITY_GRID[:-1], MONOTONICITY_GRID[1:])
+    yield from _chain(k)
+    yield from _jensen_m1(k, JENSEN_ALPHAS)
+    yield from _kalpha(k, KALPHA_ALPHAS)
+    yield from _so_sandwich(k, SANDWICH_ALPHAS)
+    yield from _ka_powersum(k, POWERSUM_ALPHAS, POWERSUM_BETAS)
+    yield from _mso2_m1_m2(k)
+    yield from _variance_identity(k, VARIANCE_ALPHAS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,41 +439,105 @@ class VerificationTable:
         return count, list(self._battery(order[i], first[order[i]]))[j]
 
 
+def _view(family, g: Graph, graph_id: str, *exponents) -> list[BoundReport]:
+    """The rows of `family` at the exponents on g's key alone, as g's reports."""
+    k = _KeyColumns([_profile_key(g)])
+    return [
+        BoundReport(bound_id, graph_id, alpha, *(np.asarray(v).item() for v in values))
+        for bound_id, alpha, *values in family(k, *exponents)
+    ]
+
+
+def check_monotonicity(g: Graph, a1: Alpha, a2: Alpha, graph_id: str = "") -> BoundReport:
+    """mSO is nondecreasing in the exponent: mSO_{a1} <= mSO_{a2} for a1 < a2,
+    with equality exactly when every edge joins equal degrees."""
+    return _view(_monotonicity, g, graph_id, [a1], [a2])[0]
+
+
+def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
+    """The five-term special-value chain
+    2 ISI <= R^{-1} <= 2^{-2} KA(1/2,2) <= M1/2 <= 2^{-1/2} SO:
+    mSO's monotonicity through the rows of `indices.SPECIAL_VALUES` at
+    a = -1, 0, 1/2, 1 and 2, each term computed once from the row's own
+    classical edge/vertex sum, not through the power mean."""
+    return _view(_chain, g, graph_id)
+
+
+def check_jensen_m1_bound(g: Graph, alpha: float, graph_id: str = "") -> BoundReport:
+    """Jensen bound against the variable first Zagreb index:
+    mSO_a <= (m^{1-1/a}/2^{1/a}) (sum d^{a+1})^{1/a} for a > 1, reversed for
+    a < 1 (a != 0); equality on a connected graph iff it is regular or
+    biregular (equality is unconditional at a = 1)."""
+    return _view(_jensen_m1, g, graph_id, [alpha])[0]
+
+
+def check_kalpha_bound(g: Graph, alpha: float, graph_id: str = "") -> BoundReport:
+    """Converse-Holder upper bound for 0 < a < 1:
+    mSO_a <= (m^{1-1/a}/2^{1/a}) K_a (sum d^{a+1})^{1/a},
+    equality iff the graph is regular."""
+    return _view(_kalpha, g, graph_id, [alpha])[0]
+
+
+def check_so_sandwich(g: Graph, a: Alpha, graph_id: str = "") -> list[BoundReport]:
+    """Sandwich of mSO_a between Sombor-index multiples:
+
+    0 < a < 2:  2^{-1/a} SO <  mSO_a <= 2^{-1/2} SO
+    a > 2:      2^{-1/2} SO <= mSO_a <  2^{-1/a} SO   (2^{-1/a} = 1 at +inf)
+    a <= 0:     mSO_a <= 2^{-1/2} SO                  (0 and -inf included)
+
+    Non-strict links attain equality iff every connected component is
+    regular; a = 2 is the definitional identity mSO_2 = 2^{-1/2} SO.
+    """
+    return _view(_so_sandwich, g, graph_id, [a])
+
+
+def check_ka_powersum_bound(
+    g: Graph, alpha: float, beta: float, graph_id: str = ""
+) -> BoundReport:
+    """Power-sum comparison for the (a,b)-KA index:
+    KA_{a,b} >= m^{1-b} (sum d^{a+1})^b for b <= 0 or b >= 1, reversed on
+    0 <= b <= 1; equality at b in {0,1} or when all edge terms coincide."""
+    return _view(_ka_powersum, g, graph_id, [alpha], [beta])[0]
+
+
+def check_mso2_m1_m2_bound(g: Graph, graph_id: str = "") -> BoundReport:
+    """mSO_2 <= M1 - (variable second Zagreb at 1/2), with equality iff
+    every connected component is regular."""
+    return _view(_mso2_m1_m2, g, graph_id)[0]
+
+
+def checks_for_graph(named: NamedGraph) -> list[BoundReport]:
+    """Every check in the catalog, at its sweep exponents, for one graph: every
+    family on its key alone, the rows its sweep table holds."""
+    return _view(_battery, named.graph, named.name)
+
+
 def run_verification(
     corpus: Sequence[NamedGraph], random_count: int = 0, seed: int = DEFAULT_RANDOM_SEED
 ) -> VerificationTable:
     """Sweep all checks over the corpus, then `random_count` seeded random graphs.
 
-    Every check is a function of the degree-pair profile, the vertex count
-    and connectivity, so the table holds one battery per such key, all
-    computed at once as columns over the keys.  A graph `checks_for_graph`
-    rejects raises its ValueError, before any battery is computed.  The rows
+    Every check is a function of the profile key, so the table holds one
+    battery per key, all computed at once as columns over the keys.  A graph
+    `checks_for_graph` rejects raises its ValueError before any battery is
+    computed: the first such graph in corpus order decides which.  The rows
     equal `checks_for_graph` on every graph in corpus order, bit for bit.
     """
     graphs = [*corpus, *random_connected_graphs(random_count, seed)]
     batteries: dict[tuple, int] = {}
-    firsts: list[Graph] = []
-    keyed: list[tuple[str, int]] = []
-    for named in graphs:
-        g = named.graph
-        key = (g.degree_pairs, g.vertex_count, is_connected(g))
-        if key not in batteries:
-            # the errors checks_for_graph raises first: Jensen's, then K_alpha's
-            if g.edge_count == 0:
-                raise ValueError("the Jensen bound needs at least one edge")
-            if degree_extremes(g)[0] < 1:
-                raise ValueError("the converse-Holder bound needs minimum degree >= 1")
-            batteries[key] = len(firsts)
-            firsts.append(g)
-        keyed.append((named.name, batteries[key]))
-    rows = list(_battery_rows(firsts, np.array([c for _, _, c in batteries], dtype=bool)))
+    keyed = [(n.name, batteries.setdefault(_profile_key(n.graph), len(batteries))) for n in graphs]
+    k = _KeyColumns(list(batteries))
+    rejected = [key for key, (delta, _) in zip(k.keys, k.extremes) if delta < 1]
+    if rejected:  # an edgeless key fails the Jensen bound, an isolated vertex K_alpha's
+        list(_battery(_KeyColumns(rejected[:1])))
+    rows = list(_battery(k))
 
     def stack(i: int, dtype: type) -> np.ndarray:
-        return np.stack([np.broadcast_to(r[i], len(firsts)) for r in rows], axis=1).astype(dtype)
+        return np.stack([np.broadcast_to(r[i], len(k.keys)) for r in rows], axis=1).astype(dtype)
 
     return VerificationTable(
         tuple(r[:2] for r in rows), stack(2, float), stack(3, float),
-        stack(4, bool), stack(5, bool), stack(6, bool), list(batteries), keyed,
+        stack(4, bool), stack(5, bool), stack(6, bool), k.keys, keyed,
     )
 
 

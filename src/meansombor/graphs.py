@@ -101,14 +101,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbr: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edge_list:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        return tuple(tuple(ns) for ns in nbr)
-
 
 class RegularityTag(Enum):
     REGULAR = "regular"
@@ -134,23 +126,6 @@ def regularity_class(g: Graph) -> RegularityTag:
     if len(distinct) == 2 and all(p == distinct for p, _ in g.degree_pairs):
         return RegularityTag.BIREGULAR
     return RegularityTag.NEITHER
-
-
-def _bfs(g: Graph, root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first walk from `root`: (parent, order), where order lists the
-    reached vertices in visit order and parent[root] is -1."""
-    parent = [-1] * g.vertex_count
-    order = [root]
-    seen = [False] * g.vertex_count
-    seen[root] = True
-    adj = g.adjacency
-    for u in order:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-    return parent, order
 
 
 def is_connected(g: Graph) -> bool:
@@ -298,30 +273,8 @@ def random_connected_graphs(count: int, seed: int) -> list["NamedGraph"]:
 
 
 # ---------------------------------------------------------------------------
-# Tree canonical form and enumeration
+# Tree codes and enumeration
 # ---------------------------------------------------------------------------
-
-def tree_centroids(g: Graph) -> list[int]:
-    """The one or two centroids of a tree, whose removal leaves no component
-    above half the vertices: walk from vertex 0 into the child subtree
-    holding more than half until none does; a child subtree holding exactly
-    half is rooted at the second centroid.  Raises ValueError on a graph
-    that is not a tree."""
-    n = g.vertex_count
-    parent, order = _bfs(g, 0)
-    if len(order) != n or g.edge_count != n - 1:
-        raise ValueError("centroids are defined for trees only")
-    size = [1] * n
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
-    u = 0
-    while True:
-        # at most one child subtree can hold half the vertices or more
-        heavy = [v for v in g.adjacency[u] if v != parent[u] and 2 * size[v] >= n]
-        if not heavy or 2 * size[heavy[0]] == n:
-            return sorted([u, *heavy])
-        u = heavy[0]
-
 
 def _graft(subtrees: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     """Level sequence of a root whose children are `subtrees`, in that order:
@@ -329,34 +282,11 @@ def _graft(subtrees: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     return (0,) + tuple(d + 1 for t in subtrees for d in t)
 
 
-def _rooted_code(g: Graph, root: int) -> tuple[int, ...]:
-    """Canonical level sequence of the tree rooted at `root` (each vertex's
-    subtrees in descending order), built bottom-up without recursion."""
-    parent, order = _bfs(g, root)
-    subtrees: list[list[tuple[int, ...]]] = [[] for _ in range(g.vertex_count)]
-    for u in reversed(order[1:]):
-        subtrees[parent[u]].append(_graft(sorted(subtrees[u], reverse=True)))
-        subtrees[u] = []
-    return _graft(sorted(subtrees[root], reverse=True))
-
-
-def canonical_form(g: Graph) -> str:
-    """Canonical level-sequence string for a tree, rooted at its centroid
-    (the smaller sequence when there are two).
-
-    Two trees get the same string iff they are isomorphic; the string doubles
-    as the manifest label for enumerated skeletons.  Nothing recurses, so
-    every tree parse_graph accepts works under the default recursion limit.
-    Raises ValueError, through tree_centroids, on a graph that is not a tree.
-    """
-    return ".".join(map(str, min(_rooted_code(g, c) for c in tree_centroids(g))))
-
-
 def _forests(pool: list[tuple[int, ...]], m: int, start: int = 0) -> Iterator[tuple]:
     """Every multiset of rooted trees from pool[start:] whose vertex counts
     sum to m, as a tuple in pool order.  pool holds level sequences sorted
-    largest first, so each tuple comes out in the descending order
-    `_rooted_code` gives a vertex's subtrees."""
+    largest first, so each tuple comes out in the descending order a level
+    sequence gives a vertex's subtrees."""
     if m == 0:
         yield ()
         return
@@ -367,8 +297,8 @@ def _forests(pool: list[tuple[int, ...]], m: int, start: int = 0) -> Iterator[tu
 
 
 def _free_tree_codes(n: int) -> Iterator[tuple[int, ...]]:
-    """The centroid-rooted level sequence (the one `canonical_form` takes)
-    of every free tree on n vertices, each tree once.
+    """The canonical code of every free tree on n vertices, each tree once:
+    its level sequence rooted at the centroid (the smaller at two).
 
     By Jordan's centroid theorem a tree has one centroid exactly when each
     branch there has at most (n - 1) // 2 vertices, so those trees are the

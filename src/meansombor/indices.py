@@ -11,9 +11,10 @@ classical degree-based indices (inverse sum indeg, reciprocal Randic,
 first Zagreb, Sombor, the (a,b)-KA family, and the min/max edge sums).
 :data:`SPECIAL_VALUES` is the paper's Table 2, the one list of those
 exponents with the classical expression mSO equals there; the CLI's
-`compute` prints it and :func:`bounds.check_chain` orders its rows from
--1 to 2.  Every edge sum reads the graph's degree-pair profile through
-:func:`pair_sum`, or through :class:`ProfileSums` for many graphs at once.
+`compute` prints it, and the bound battery's special-value chain orders its
+rows from -1 to 2.  Every edge sum reads the graph's degree-pair profile
+through :func:`pair_sum`, or through :class:`ProfileSums` for many graphs at
+once.
 """
 
 from __future__ import annotations
@@ -299,8 +300,8 @@ def max_edge_sum(g: Graph) -> float:
 
 # Table 2 of the paper: at these exponents mSO equals a classical index.
 # Rows (exponent, label of the classical expression, its evaluator) in
-# ascending exponent order; the rows from -1 to 2 are the special-value
-# chain that bounds.check_chain orders.
+# ascending exponent order; the rows from -1 to 2 are the terms of the
+# bound battery's special-value chain.
 SPECIAL_VALUES: tuple[tuple[Alpha, str, Callable[[Graph], float]], ...] = (
     (ALPHA_MINUS_INF, "SP-min", min_edge_sum),
     (Alpha.finite(-1), "2*ISI", lambda g: 2.0 * inverse_sum_indeg(g)),

@@ -5,9 +5,11 @@ The matrix carries the per-edge power-mean value on the adjacency support
 and zeros elsewhere.  Because it is symmetric with zero diagonal, the trace
 of its square equals twice the sum of the squared edge entries; combining
 that with the variance of the edge-term sequence recovers the index itself.
-:func:`variance_identity` takes mSO, the variance and that trace from one
-power-mean evaluation per distinct degree pair; the dense matrix serves the
-``matrix`` command and the tests' reference route:
+:func:`variance_columns` takes the variance and that trace from one
+power-mean evaluation per distinct degree pair, for many profile keys at
+once (the verification sweep's rows) or, through :func:`variance_identity`,
+for one graph; the dense matrix serves the ``matrix`` command and the tests'
+reference route:
 
     mSO = sqrt( (m/2) * tr(M^2) - m^2 * sigma^2 )
 
@@ -26,7 +28,7 @@ from typing import IO
 import numpy as np
 
 from .graphs import Graph
-from .indices import Alpha, edge_terms, pair_sum, power_mean
+from .indices import Alpha, ProfileSums, edge_terms, power_mean_grid
 
 
 @dataclass(frozen=True)
@@ -63,19 +65,32 @@ def trace_of_square(mat: np.ndarray) -> float:
     return float(np.sum(mat * mat))
 
 
+def variance_columns(
+    edges: ProfileSums, m: np.ndarray, pm: np.ndarray, mso: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edge-term variance and the radicand (m/2) tr(M^2) - m^2 sigma^2 of
+    each key of `edges`, with `m` edges and index `mso`, from its per-pair
+    power means `pm` (indexed like `edges.items`), with tr(M^2) = 2 * sum of
+    PM^2.  Each sum is one fsum over the key's edges, the value `pair_sum`
+    gives."""
+    deviations = (edges.spread(pm) - np.repeat(mso / m, m)).tolist()
+    sigma2 = edges.fsums([d**2 for d in deviations]) / m
+    tr = 2.0 * edges.sums([v**2 for v in pm.tolist()])
+    return sigma2, (m / 2.0) * tr - m * m * sigma2
+
+
 def variance_identity(g: Graph, a: Alpha) -> tuple[EdgeTermStats, float, float]:
     """Edge-term statistics, mSO and the radicand (m/2) tr(M^2) - m^2 sigma^2
-    (the square of mSO in exact arithmetic), all from one power-mean
-    evaluation per distinct degree pair, with tr(M^2) = 2 * sum of PM^2."""
+    (the square of mSO in exact arithmetic): `variance_columns` of g's
+    profile, one power-mean evaluation per distinct degree pair."""
     m = g.edge_count
     if m == 0:
         raise ValueError("edge statistics are undefined for an edgeless graph")
-    pm = {p: power_mean(*p, a) for p, _ in g.degree_pairs}
-    mso = pair_sum(g, lambda x, y: pm[x, y])
-    mean = mso / m
-    sigma2 = pair_sum(g, lambda x, y: (pm[x, y] - mean) ** 2) / m
-    tr = 2.0 * pair_sum(g, lambda x, y: pm[x, y] ** 2)
-    return EdgeTermStats(m=m, mean=mean, sigma2=sigma2), mso, (m / 2.0) * tr - m * m * sigma2
+    edges = ProfileSums([g.degree_pairs])
+    pm = power_mean_grid(edges.items, [a])[:, 0]
+    mso = edges.sums(pm)
+    sigma2, radicand = (c.item() for c in variance_columns(edges, np.array([m]), pm, mso))
+    return EdgeTermStats(m=m, mean=mso.item() / m, sigma2=sigma2), mso.item(), radicand
 
 
 def edge_term_stats(g: Graph, a: Alpha) -> EdgeTermStats:

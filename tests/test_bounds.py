@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+import scalar_battery as scalar
 
 from meansombor import bounds
 from meansombor.bounds import (
@@ -343,10 +344,11 @@ def _fixed_point(c):
 
 
 def test_verdict_rule_at_its_boundaries():
-    # the column verdicts and BoundReport's properties share one rule; they
-    # must agree where each comparison is decided by equality: slack
-    # exactly -tol (passes), |slack| exactly tol (an observed equality),
-    # and slack exactly 1e-12 * scale (not strict), and one ulp past each
+    # the column verdicts and BoundReport's properties share one rule; both
+    # must agree with the rule written out on scalars where each comparison
+    # is decided by equality: slack exactly -tol (passes), |slack| exactly
+    # tol (an observed equality), and slack exactly 1e-12 * scale (not
+    # strict), and one ulp past each
     tol, strict = _fixed_point(1e-9), _fixed_point(1e-12)
     sides = [(0.0, -tol), (0.0, tol), (-tol, 0.0), (0.0, strict)]
     sides += [(0.0, math.nextafter(-tol, -1.0)), (0.0, math.nextafter(tol, 1.0)),
@@ -365,6 +367,12 @@ def test_verdict_rule_at_its_boundaries():
     # one ulp past 1e-12 * scale the gap is strict, and still an observed equality
     assert [r.ok for r in rows[48:56] if r.strict_expected] == [True, False, True, True]
 
+    flags = [(r.lhs, r.rhs, r.equality_predicted, r.equality_applicable, r.strict_expected)
+             for r in rows]
+    reference = [scalar.reference_verdict(*f) for f in flags]
+    assert [tuple(verdict(*f)) for f in flags] == reference
+    assert [(r.slack, r.tol, r.passed, r.equality_observed, r.ok) for r in rows] == reference
+
     def column(name):
         return np.array([[getattr(r, name) for r in rows]])
 
@@ -375,13 +383,8 @@ def test_verdict_rule_at_its_boundaries():
     )
     assert list(table) == rows
     v = table.verdict
-    for name in ("slack", "tol", "passed", "equality_observed", "ok"):
-        assert getattr(v, name)[0].tolist() == [getattr(r, name) for r in rows], name
-    scalar = [verdict(r.lhs, r.rhs, r.equality_predicted, r.equality_applicable,
-                      r.strict_expected) for r in rows]
-    assert [tuple(x) for x in scalar] == [
-        (r.slack, r.tol, r.passed, r.equality_observed, r.ok) for r in rows
-    ]
+    for i, name in enumerate(("slack", "tol", "passed", "equality_observed", "ok")):
+        assert getattr(v, name)[0].tolist() == [x[i] for x in reference], name
     from_table, from_rows = io.StringIO(), io.StringIO()
     write_reports_csv(table, from_table)
     write_reports_csv(rows, from_rows)
@@ -404,6 +407,71 @@ def test_checks_for_graph_names_rows(k13):
     assert all(r.ok for r in rows)
 
 
+def _bits(reports):
+    # every field of each report with its type, floats by their bit patterns
+    def field(x):
+        return type(x).__name__, float.hex(x) if isinstance(x, float) else x
+
+    return [tuple(map(field, vars(r).values())) for r in reports]
+
+
+def _outcome(check, *args):
+    # the reports a check returns, or the arithmetic or value error it raises
+    try:
+        reports = check(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return _bits(reports if isinstance(reports, list) else [reports])
+
+
+# exponents near the 0-limit, at and around 1 (the Jensen identity, which
+# the sweep skips), at 2 (the sandwich's definitional equality, likewise),
+# the limit points, and their negatives
+OFF_SWEEP = (1e-300, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, math.inf, 0.0)
+OFF_SWEEP += tuple(-x for x in OFF_SWEEP[:-1])
+
+
+def test_every_view_matches_the_scalar_battery_bit_for_bit():
+    # each public check is a one-key, one-exponent view of its family; on any
+    # graph and exponent it returns the scalar check's reports bit for bit, or
+    # raises the same error: C6 and 2C3 share a profile but not connectivity,
+    # K3 + K4 has regular components but is not regular, G + K1 keeps G's
+    # pairs but gains an isolated vertex, K1 has no edge
+    k1 = Graph(1, frozenset())
+    graphs = [cycle_graph(6), disjoint_union(complete_graph(3), complete_graph(3)),
+              disjoint_union(complete_graph(3), complete_graph(4)), path_graph(2),
+              star_graph(4), complete_graph(5), k1, disjoint_union(k1, k1)]
+    for named in random_connected_graphs(8, seed=23) + default_corpus()[:12:3]:
+        graphs += [named.graph, disjoint_union(named.graph, k1)]
+    alphas = [Alpha(x) for x in OFF_SWEEP]
+    betas = (-1.0, 0.0, 1e-300, 0.5, 1.0, 2.0, math.inf)
+    for i, g in enumerate(graphs):
+        gid = f"g{i}"
+        cases = [("checks_for_graph", NamedGraph(gid, g)), ("check_chain", g, gid),
+                 ("check_mso2_m1_m2_bound", g, gid)]
+        cases += [("check_monotonicity", g, a1, a2, gid) for a1 in alphas for a2 in alphas]
+        cases += [("check_so_sandwich", g, a, gid) for a in alphas]
+        for x in OFF_SWEEP:
+            cases += [("check_jensen_m1_bound", g, x, gid), ("check_kalpha_bound", g, x, gid)]
+            cases += [("check_ka_powersum_bound", g, x, b, gid) for b in betas]
+        for name, *args in cases:
+            view, reference = getattr(bounds, name), getattr(scalar, name)
+            assert _outcome(view, *args) == _outcome(reference, *args), (name, args[1:])
+
+
+def test_views_raise_on_overflow_rather_than_return_a_row():
+    # on K5, where both sides are 40 at the sweep's exponents, the Jensen and
+    # K_alpha bound sides overflow near 0 and at large exponents: the view
+    # raises as the scalar formula does, and never returns an inf or nan row
+    k5 = complete_graph(5)
+    for alpha in (0.001, -0.001, 0.002, 2000.0):
+        with pytest.raises(OverflowError):
+            check_jensen_m1_bound(k5, alpha)
+    for alpha in (0.001, 0.002):
+        with pytest.raises(OverflowError):
+            check_kalpha_bound(k5, alpha)
+
+
 def _relabelled(g, rng):
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)
@@ -412,17 +480,20 @@ def _relabelled(g, rng):
 
 def test_checks_for_graph_rows_are_label_invariant():
     # every check is a function of the degree-pair profile, the vertex count
-    # and connectivity, so relabelling the vertices must not move a bit
+    # and connectivity, so relabelling the vertices must not move a bit of the
+    # scalar battery, and the one-key table must equal it
     rng = random.Random(11)
     for named in default_corpus() + random_connected_graphs(200, seed=11):
-        relabelled = _relabelled(named.graph, rng)
-        assert checks_for_graph(NamedGraph(named.name, relabelled)) == checks_for_graph(named)
+        relabelled = NamedGraph(named.name, _relabelled(named.graph, rng))
+        rows = _bits(scalar.checks_for_graph(named))
+        assert _bits(scalar.checks_for_graph(relabelled)) == rows
+        assert _bits(checks_for_graph(relabelled)) == rows
 
 
 def test_run_verification_reuses_rows_per_profile_key():
     # the sweep holds one battery per (degree pairs, vertex count, connected)
-    # key, computed as columns over the keys, and must equal the plain
-    # per-graph sweep row for row, bit for bit
+    # key, computed as columns over the keys, and must equal the scalar
+    # per-graph battery row for row, bit for bit
     rng = random.Random(5)
     trees = [
         NamedGraph(f"t{n}_{i}", t) for n in range(2, 11) for i, t in enumerate(enumerate_trees(n))
@@ -434,9 +505,9 @@ def test_run_verification_reuses_rows_per_profile_key():
     assert c6.degree_pairs == two_c3.degree_pairs  # same profile and n, not connectivity
     dense = [random_connected_graphs(300, seed) for seed in (20240803, 97)]
     for gs in (default_corpus(), trees, collisions, *dense):
-        assert list(run_verification(gs, random_count=0)) == [
-            r for n in gs for r in checks_for_graph(n)
-        ]
+        assert _bits(run_verification(gs, random_count=0)) == _bits(
+            r for n in gs for r in scalar.checks_for_graph(n)
+        )
 
     # G + K1 keeps G's profile, but its isolated vertex must still reach
     # kalpha's minimum-degree check: after P3 the connected flag tells them
@@ -444,14 +515,16 @@ def test_run_verification_reuses_rows_per_profile_key():
     k1 = Graph(1, frozenset())
     for g in (path_graph(3), two_c3):
         pair = [NamedGraph("G", g), NamedGraph("G+K1", disjoint_union(g, k1))]
-        with pytest.raises(ValueError, match="minimum degree"):
-            checks_for_graph(pair[1])
+        for checks in (scalar.checks_for_graph, checks_for_graph):
+            with pytest.raises(ValueError, match="minimum degree"):
+                checks(pair[1])
         with pytest.raises(ValueError, match="minimum degree"):
             run_verification(pair, random_count=0)
     # an edgeless graph fails the Jensen bound first, connected or not
     for g in (k1, disjoint_union(k1, k1)):
-        with pytest.raises(ValueError, match="at least one edge"):
-            checks_for_graph(NamedGraph("E", g))
+        for checks in (scalar.checks_for_graph, checks_for_graph):
+            with pytest.raises(ValueError, match="at least one edge"):
+                checks(NamedGraph("E", g))
         with pytest.raises(ValueError, match="at least one edge"):
             run_verification([NamedGraph("P3", path_graph(3)), NamedGraph("E", g)], random_count=0)
     # the first rejected graph in corpus order decides the error
@@ -538,7 +611,7 @@ def test_write_reports_csv_table_matches_row_by_row_writer():
     ]
     for gs in (default_corpus(), trees, quoted):
         table = run_verification(gs, random_count=0)
-        rows = [r for n in gs for r in checks_for_graph(n)]
+        rows = [r for n in gs for r in scalar.checks_for_graph(n)]
         assert len(table) == len(rows)
         from_table, from_rows = io.StringIO(), io.StringIO()
         write_reports_csv(table, from_table, seed=7, random_count=0)

@@ -13,9 +13,10 @@ import pytest
 
 import meansombor
 from meansombor.cli import main
-from meansombor.graphs import canonical_form, enumerate_octane_skeletons, parse_graph
+from meansombor.graphs import enumerate_octane_skeletons, parse_graph
 from meansombor.indices import Alpha, mean_sombor
 from meansombor.qspr import AlphaGrid
+from tree_codes import canonical_form
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ from meansombor.graphs import (
     Graph,
     GraphParseError,
     RegularityTag,
-    canonical_form,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -37,9 +36,8 @@ from meansombor.graphs import (
     regularity_class,
     star_graph,
     to_edge_list_text,
-    tree_centroids,
 )
-from meansombor.graphs import _bfs
+from tree_codes import _bfs, adjacency, canonical_form, tree_centroids
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +176,8 @@ def test_is_connected_matches_the_breadth_first_walk(g):
 
 def _brute_force_centroids(g):
     """Vertices minimizing the largest component left after removing them."""
+    adj = adjacency(g)
+
     def largest_left(x):
         best = 0
         seen = {x}
@@ -189,7 +189,7 @@ def _brute_force_centroids(g):
             while stack:
                 u = stack.pop()
                 size += 1
-                for v in g.adjacency[u]:
+                for v in adj[u]:
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)

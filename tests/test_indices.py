@@ -350,7 +350,7 @@ def test_special_case_identities_on_corpus():
 
 
 def test_special_values_table_matches_mean_sombor():
-    # the Table-2 rows that compute prints and check_chain orders
+    # the Table-2 rows that compute prints and the chain family orders
     exponents = [a for a, _, _ in SPECIAL_VALUES]
     assert all(a1 < a2 for a1, a2 in zip(exponents, exponents[1:]))
     for named in default_corpus() + random_connected_graphs(25, seed=9):
