@@ -350,8 +350,11 @@ def _ka_powersum(k: _KeyColumns, alphas: Sequence[float], betas: Sequence[float]
             ka = k.edges.sums([t**beta for t in terms])
             base = np.array([m ** (1.0 - beta) * s**beta for m, s in zip(k.m.tolist(), sums)])
             lhs, rhs = (base, ka) if beta <= 0.0 or beta >= 1.0 else (ka, base)
+            # a limit exponent is rejected after KA's own errors, as the scalar
+            # check orders them, and before the spread (inf - inf at +inf)
+            a = Alpha.finite(alpha)
             predicted = beta in (0.0, 1.0) or top - bottom <= 1e-12 * top
-            yield f"ka-powersum(b={beta:g})", Alpha.finite(alpha), lhs, rhs, predicted, True, False
+            yield f"ka-powersum(b={beta:g})", a, lhs, rhs, predicted, True, False
 
 
 def _mso2_m1_m2(k: _KeyColumns) -> Iterator[tuple]:

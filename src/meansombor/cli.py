@@ -32,6 +32,7 @@ from .qspr import (
     AlphaGrid,
     QsprDataset,
     RegressionReport,
+    curve_template,
     load_dataset,
     qspr_at_alpha,
     reports_to_json,
@@ -242,10 +243,10 @@ def scan(
         raise
     t3 = time.perf_counter()
     if curve_dir:
-        tokens = [a.token() for a, _ in scans[0][1]]  # every curve runs over the one grid
+        template = curve_template([a for a, _ in scans[0][1]])  # every curve runs over the one grid
         for p, (_, curve) in zip(props, scans):
             with (d / f"curve-{_slug(p)}.csv").open("w", encoding="utf-8") as fh:
-                write_curve_csv(curve, fh, tokens)
+                write_curve_csv(curve, fh, template)
     t4 = time.perf_counter()
     if timings:
         _echo_timings(

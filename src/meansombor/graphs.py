@@ -145,15 +145,6 @@ def is_connected(g: Graph) -> bool:
     return components == 1
 
 
-def all_components_regular(g: Graph) -> bool:
-    """True iff every connected component has a single degree value.
-
-    Equivalent to every edge joining two vertices of equal degree, which is
-    the equality condition shared by several of the bound checks.
-    """
-    return all(lo == hi for (lo, hi), _ in g.degree_pairs)
-
-
 # ---------------------------------------------------------------------------
 # Edge-list text format
 # ---------------------------------------------------------------------------

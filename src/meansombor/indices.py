@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from itertools import accumulate, chain, repeat, starmap
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -115,59 +115,73 @@ def parse_alpha(token: str) -> Alpha:
     return a
 
 
-def _geometric_mean(x: float, y: float) -> float:
-    """sqrt(xy), factored where the product would leave the normal range."""
-    p = x * y
-    return math.sqrt(p) if 1e-300 < p < 1e300 else math.sqrt(x) * math.sqrt(y)
+def _power_mean_row(x: float, y: float, alphas: Iterable[float]) -> list[float]:
+    """The kernel: the power mean of one pair of positive reals at each
+    exponent of the extended line.
 
+    The pair's own work is done once: the positivity check, the geometric
+    mean, the ordered pair hi >= lo with lo/hi and hi/lo, and ln(hi/lo),
+    taken as ln(hi) - ln(lo) only where hi/lo overflows.  Equal arguments
+    short-circuit to the common value (the geometric mean at a = 0), so
+    regular graphs evaluate exactly and identically at every a.
 
-def power_mean(x: float, y: float, a: Alpha) -> float:
-    """Power mean of two positive reals at an extended exponent.
-
-    a = 0 gives the geometric mean, -inf the minimum and +inf the maximum.
-    Other exponents use the max-factored form
+    Per exponent: a = 0 gives the geometric mean, -inf the minimum and +inf
+    the maximum.  Other exponents use the max-factored form
     ``base * ((1 + t^a)/2)^(1/a)`` with t in (0, 1], which cannot overflow
-    however large |a| gets; equal arguments short-circuit to the common
-    value so regular graphs evaluate exactly and identically at every a.
-    For |a| < 1, where 1 + t^a rounds to 2 as a -> 0, it is evaluated as
+    however large |a| gets.  For |a| < 1, where 1 + t^a rounds to 2 as
+    a -> 0, it is evaluated as
     ``sqrt(xy) * exp(log1p(2 sinh(a ln(hi/lo)/4)^2)/a)``, from
     (x^a + y^a)/2 = (xy)^(a/2) cosh(a ln(x/y)/2): accurate to a few ulps,
     and the factor on the geometric mean is >= 1 for a > 0 and <= 1 for
     a < 0, so PM_{-a} <= GM <= PM_a holds exactly (subnormal a gives GM).
-    ln(hi/lo) is taken as ln(hi) - ln(lo) only where hi/lo overflows.  Past
-    |a ln(hi/lo)| = 37 (degrees up to 4,096 stay below 9), 1 + t^a rounds to 1,
-    so the direct form cancels nothing; it is used there, where the cosh
-    factor can pass exp(709).
+    Past |a ln(hi/lo)| = 37 (degrees up to 4,096 stay below 9), 1 + t^a
+    rounds to 1, so the direct form cancels nothing; it is used there, where
+    the cosh factor can pass exp(709).
     """
     if x <= 0.0 or y <= 0.0:
         raise ValueError(f"power mean needs positive arguments, got ({x}, {y})")
-    if a == 0.0:
-        return _geometric_mean(x, y)
-    if math.isinf(a):
-        return float(max(x, y) if a > 0 else min(x, y))
+    p = x * y  # sqrt(xy), factored where the product leaves the normal range
+    gm = math.sqrt(p) if 1e-300 < p < 1e300 else math.sqrt(x) * math.sqrt(y)
     if x == y:
-        return float(x)
-    alpha = float(a)
+        return [gm if a == 0.0 else float(x) for a in alphas]
     hi, lo = (x, y) if x > y else (y, x)
-    if -1.0 < alpha < 1.0:
-        r = hi / lo
-        z = alpha * (math.log(r) if r < math.inf else math.log(hi) - math.log(lo))
-        if abs(z) < 37.0:
-            u = math.sinh(z / 4.0)
-            return _geometric_mean(x, y) * math.exp(math.log1p(2.0 * u * u) / alpha)
-    if alpha > 0:
-        base, t = hi, lo / hi
-    else:
-        base, t = lo, hi / lo
-    return base * ((1.0 + t**alpha) / 2.0) ** (1.0 / alpha)
+    t, r = lo / hi, hi / lo
+    ln_r = math.log(r) if r < math.inf else math.log(hi) - math.log(lo)
+    row = []
+    for a in alphas:
+        if a == 0.0:
+            v = gm
+        elif math.isinf(a):
+            v = float(max(x, y) if a > 0 else min(x, y))
+        else:
+            alpha = float(a)
+            z = alpha * ln_r
+            if -1.0 < alpha < 1.0 and abs(z) < 37.0:
+                u = math.sinh(z / 4.0)
+                v = gm * math.exp(math.log1p(2.0 * u * u) / alpha)
+            elif alpha > 0:
+                v = hi * ((1.0 + t**alpha) / 2.0) ** (1.0 / alpha)
+            else:
+                v = lo * ((1.0 + r**alpha) / 2.0) ** (1.0 / alpha)
+        row.append(v)
+    return row
+
+
+def power_mean(x: float, y: float, a: Alpha) -> float:
+    """Power mean of two positive reals at an extended exponent: the
+    kernel's row (:func:`_power_mean_row`, which sets out the forms) at the
+    one exponent."""
+    return _power_mean_row(x, y, (a,))[0]
 
 
 def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -> np.ndarray:
     """:func:`power_mean` of every pair at every exponent, shape
-    (len(pairs), len(alphas)): the scalar kernel cell by cell, so the table
-    and the kernel agree bit for bit."""
-    cells = [power_mean(x, y, a) for x, y in pairs for a in alphas]
-    return np.array(cells, dtype=float).reshape(len(pairs), len(alphas))
+    (len(pairs), len(alphas)): one kernel row per pair, each pair's own work
+    done once, so the table and :func:`power_mean` agree bit for bit.  The
+    exponents are read as plain floats once per grid."""
+    floats = [float(a) for a in alphas]
+    rows = [_power_mean_row(x, y, floats) for x, y in pairs]
+    return np.array(rows, dtype=float).reshape(len(pairs), len(floats))
 
 
 def descriptor_matrix(graphs: Sequence[Graph], alphas: Sequence[Alpha]) -> np.ndarray:

@@ -4,8 +4,8 @@ Pearson correlation.
 
 The model is ``property ~ c1 * mSO_a(G) + c2`` per property.  The scan's
 grid curve is Pearson's r of every grid column at once.  The descriptor
-matrix (``indices.descriptor_matrix``, the scalar kernel once per
-distinct degree pair and exponent) is built once per command over all
+matrix (``indices.descriptor_matrix``, one kernel row over the grid per
+distinct degree pair) is built once per command over all
 records, and each property reads its records' rows; the curve agrees
 with per-point fits to matmul rounding (nan where the records share one
 mSO).  Refinement and the candidates are ranked by |r| alone, from mSO
@@ -545,13 +545,20 @@ def reports_to_json(reports: Sequence[RegressionReport]) -> str:
     return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
+def curve_template(alphas: Sequence[Alpha]) -> str:
+    """The curve CSV over `alphas` with a `%.17g` slot for each r: the header,
+    then one line per exponent, its token and the slot.  `template % tuple(r)`
+    is the file, each r formatted as `format(r, ".17g")` formats it."""
+    return "alpha,r\n" + "".join(f"{a.token()},%.17g\n" for a in alphas)
+
+
 def write_curve_csv(
-    curve: Sequence[tuple[Alpha, float]], stream: IO[str], tokens: Sequence[str] | None = None
+    curve: Sequence[tuple[Alpha, float]], stream: IO[str], template: str | None = None
 ) -> None:
     """Two-column CSV (alpha, r); the limit points use their tokens.
 
-    `tokens` are the curve's alpha tokens, for a caller that writes several
-    curves of one grid and formats them once."""
-    if tokens is None:
-        tokens = [a.token() for a, _ in curve]
-    stream.write("alpha,r\n" + "".join(f"{t},{r:.17g}\n" for t, (_, r) in zip(tokens, curve)))
+    `template` is :func:`curve_template` of the curve's exponents, for a
+    caller that writes several curves of one grid and builds it once."""
+    if template is None:
+        template = curve_template([a for a, _ in curve])
+    stream.write(template % tuple(r for _, r in curve))

@@ -25,7 +25,6 @@ from meansombor.graphs import (
     Graph,
     NamedGraph,
     RegularityTag,
-    all_components_regular,
     degree_extremes,
     is_connected,
     regularity_class,
@@ -41,6 +40,15 @@ from meansombor.indices import (
     variable_first_zagreb,
 )
 from meansombor.spectral import variance_identity
+
+
+def all_components_regular(g: Graph) -> bool:
+    """True iff every connected component has a single degree value.
+
+    Equivalent to every edge joining two vertices of equal degree, which is
+    the equality condition shared by several of the bound checks.
+    """
+    return all(lo == hi for (lo, hi), _ in g.degree_pairs)
 
 
 def check_monotonicity(g: Graph, a1: Alpha, a2: Alpha, graph_id: str = "") -> BoundReport:

@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +458,20 @@ def test_every_view_matches_the_scalar_battery_bit_for_bit():
         for name, *args in cases:
             view, reference = getattr(bounds, name), getattr(scalar, name)
             assert _outcome(view, *args) == _outcome(reference, *args), (name, args[1:])
+
+
+def test_ka_powersum_rejects_plus_inf_before_any_column_warning():
+    # at a = +inf the edge terms are inf, and their spread inf - inf made
+    # numpy warn before the view raised; the exponent is now rejected before it
+    for g in (star_graph(4), path_graph(5), complete_graph(4)):
+        for beta in (-1.0, 0.5, 2.0, 1.0):
+            with pytest.raises(ValueError) as want:
+                scalar.check_ka_powersum_bound(g, math.inf, beta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as got:
+                    check_ka_powersum_bound(g, math.inf, beta)
+            assert str(got.value) == str(want.value) == "finite alpha must be a nonzero finite real"
 
 
 def test_views_raise_on_overflow_rather_than_return_a_row():

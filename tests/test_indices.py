@@ -15,7 +15,6 @@ from meansombor import bounds
 from meansombor.graphs import (
     Graph,
     RegularityTag,
-    all_components_regular,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -50,6 +49,8 @@ from meansombor.indices import (
 )
 from meansombor.qspr import AlphaGrid
 from meansombor.spectral import edge_term_stats
+import scalar_kernel
+from scalar_battery import all_components_regular
 
 
 def naive_power_mean(x, y, alpha):
@@ -233,18 +234,71 @@ def test_mean_sombor_over_degree_pairs_is_bit_identical_to_edge_sum():
     assert tags == {RegularityTag.REGULAR, RegularityTag.BIREGULAR, RegularityTag.NEITHER}
 
 
+def _same_bits(got, want):
+    return [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
 def test_power_mean_grid_matches_scalar_kernel():
     points = AlphaGrid().points()
     pairs = [(x, y) for x in range(1, 13) for y in range(x, 13)]
     grid = power_mean_grid(pairs, points)
     assert grid.shape == (len(pairs), len(points))
-    for (x, y), row in zip(pairs, grid):
-        for a, v in zip(points, row.tolist()):
-            assert v == power_mean(x, y, a)
+    for (x, y), row in zip(pairs, grid.tolist()):
+        want = [scalar_kernel.power_mean(x, y, a) for a in points]
+        assert _same_bits(row, want), (x, y)
+        assert _same_bits([power_mean(x, y, a) for a in points], want), (x, y)
     # a pair gives the same row in either orientation
     assert (power_mean_grid([(4, 1)], points) == power_mean_grid([(1, 4)], points)).all()
     with pytest.raises(ValueError):
         power_mean_grid([(0, 2)], points)
+
+
+def _straddle(ln_r, sign):
+    # the exponents just below and just above |a ln_r| = 37, where the kernel
+    # leaves the cosh form for the max-factored form
+    a = sign * 37.0 / ln_r
+    while abs(a * ln_r) >= 37.0:
+        a = math.nextafter(a, 0.0)
+    below = a
+    while abs(a * ln_r) < 37.0:
+        a = math.nextafter(a, sign * math.inf)
+    return below, a
+
+
+def test_power_mean_row_matches_scalar_oracle_at_its_branch_edges():
+    subnormal = [5e-324, -5e-324, 1e-310, -2.5e-320]
+    limits = [ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
+    cases = []
+    for x, y in ((1e20, 1.0), (7e40, 3.0), (1e300, 1e-300)):
+        ln_r = math.log(x / y) if x / y < math.inf else math.log(x) - math.log(y)
+        edges = [*_straddle(ln_r, 1.0), *_straddle(ln_r, -1.0)]
+        assert [abs(a * ln_r) < 37.0 for a in edges] == [True, False] * 2
+        assert all(abs(a) < 1.0 for a in edges)
+        cases.append((x, y, edges))
+    # hi/lo overflows: ln(hi/lo) is taken as ln(hi) - ln(lo), in both forms
+    cases.append((1e308, 1e-10, [0.5, -0.5, 0.999, -0.999, 2.0, -2.0, 1e-300, *subnormal]))
+    cases.append((1e-10, 1e308, [0.5, -2.0]))
+    cases += [(2, 3, subnormal), (1, 4096, subnormal), (4096, 1, subnormal)]
+    # equal pairs give the common value, but sqrt(x x) at the 0-limit, which
+    # differs from x where x x leaves the normal range
+    for x in (7e-170, 8.881884810004785e199, 2.5):
+        cases.append((x, x, [0.5, -3.0, 1e-300, *subnormal]))
+    for x in (7e-170, 8.881884810004785e199):
+        assert scalar_kernel.power_mean(x, x, ZERO_LIMIT) != x
+    for x, y, finite in cases:
+        alphas = [*map(Alpha.finite, finite), *limits]
+        want = [scalar_kernel.power_mean(x, y, a) for a in alphas]
+        assert _same_bits(power_mean_grid([(x, y)], alphas)[0].tolist(), want), (x, y)
+        assert _same_bits([power_mean(x, y, a) for a in alphas], want), (x, y)
+    # a nonpositive argument is rejected with the oracle's message
+    for x, y in ((0, 2), (3, -1.5), (-0.0, 1)):
+        with pytest.raises(ValueError) as want:
+            scalar_kernel.power_mean(x, y, Alpha.finite(2))
+        for run in (lambda: power_mean(x, y, Alpha.finite(2)),
+                    lambda: power_mean_grid([(1, 1), (x, y)], [ZERO_LIMIT])):
+            with pytest.raises(ValueError) as got:
+                run()
+            assert str(got.value) == str(want.value)
 
 
 def test_descriptor_matrix_matches_mean_sombor():

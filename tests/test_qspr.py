@@ -35,6 +35,7 @@ from meansombor.qspr import (
     AlphaGrid,
     DegeneratePredictorError,
     alpha_scan,
+    curve_template,
     f_significance,
     fit_linear,
     load_dataset,
@@ -546,14 +547,19 @@ def test_curve_writer_matches_csv_writer_bytes():
         AlphaGrid(-1e12, -0.99999e12, 2e6),  # tokens in exponent notation
         AlphaGrid(1e-5, 5e-5, 1e-5),
     ]
-    for grid in grids:
-        _, curve = alpha_scan(ds, "P", grid)
+    curves = [alpha_scan(ds, "P", grid)[1] for grid in grids]
+    # a degenerate exponent's nan row, a -0.0 r, +-inf and a subnormal r
+    special = AlphaGrid(-1, 1, 0.5).points()
+    rs = [math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324, -0.1234567890123456789]
+    assert len(rs) == len(special)
+    curves.append(list(zip(special, rs)))
+    for points, curve in zip([g.points() for g in grids] + [special], curves):
         expected = _csv_writer_curve(curve)
         buf = io.StringIO()
         write_curve_csv(curve, buf)
         assert buf.getvalue() == expected
         shared = io.StringIO()
-        write_curve_csv(curve, shared, [a.token() for a in grid.points()])
+        write_curve_csv(curve, shared, curve_template(points))
         assert shared.getvalue() == expected
 
 

@@ -146,12 +146,13 @@ def test_variance_identity_matches_separate_edge_sums():
 
 def test_variance_identity_report_evaluates_each_pair_once(monkeypatch):
     calls = []
+    real_row = indices._power_mean_row
 
-    def counting(x, y, a):
+    def counting(x, y, alphas):  # one kernel row per evaluated pair
         calls.append((x, y))
-        return power_mean(x, y, a)
+        return real_row(x, y, alphas)
 
-    monkeypatch.setattr(indices, "power_mean", counting)
+    monkeypatch.setattr(indices, "_power_mean_row", counting)
     # the star K1,6 with one edge between two leaves: pairs (1,6), (2,2), (2,6)
     g = Graph(7, frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (5, 6)}))
     pairs = [p for p, _ in g.degree_pairs]
