@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -42,8 +43,10 @@ from .indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
+    SPECIAL_VALUES,
     ProfileSums,
     ZERO_LIMIT,
+    geometric_term,
     power_mean_grid,
 )
 from .spectral import variance_columns
@@ -177,7 +180,6 @@ class _KeyColumns:
         self.edges = ProfileSums(profiles)
         self.vertices = ProfileSums(histograms)
         self.m = np.array([sum(c for _, c in pairs) for pairs in profiles], dtype=np.int64)
-        self.m1 = np.array([float(sum(d * d * c for d, c in h)) for h in histograms])
         # minimum and maximum degree, isolated vertices included
         self.extremes = [(0 if i else ds[0], ds[-1] if ds else 0) for ds, i in zip(degrees, isolated)]
         self.connected = np.array([c for _, _, c in keys], dtype=bool)
@@ -191,6 +193,7 @@ class _KeyColumns:
         )
         self._pm: dict[Alpha, np.ndarray] = {}
         self._mso: dict[Alpha, np.ndarray] = {}
+        self._edge_sums: dict[Callable, np.ndarray] = {}
 
     def pm(self, a: Alpha) -> np.ndarray:
         """PM_a of each distinct pair, indexed like `edges.items`."""
@@ -205,18 +208,10 @@ class _KeyColumns:
         return self._mso[a]
 
     def edge_sum(self, term: Callable[[int, int], float]) -> np.ndarray:
-        """Each key's sum over its edges of term(d_lo, d_hi)."""
-        return self.edges.sums([term(x, y) for x, y in self.edges.items])
-
-    @cached_property
-    def reciprocal_randic(self) -> np.ndarray:
-        """Each key's R^{-1}, the edge sum of sqrt(d_u d_v)."""
-        return self.edge_sum(lambda x, y: math.sqrt(x * y))
-
-    @cached_property
-    def sombor(self) -> np.ndarray:
-        """Each key's SO, the edge sum of hypot(d_u, d_v)."""
-        return self.edge_sum(math.hypot)
+        """Each key's sum over its edges of term(d_lo, d_hi), once per term object."""
+        if term not in self._edge_sums:
+            self._edge_sums[term] = self.edges.sums([term(x, y) for x, y in self.edges.items])
+        return self._edge_sums[term]
 
     def variable_m1(self, p: float) -> np.ndarray:
         """Each key's sum of d^p over its vertices of positive degree."""
@@ -269,15 +264,9 @@ _CHAIN_IDS = ("chain-2isi-r1", "chain-r1-ka", "chain-ka-m1", "chain-m1-so")
 
 
 def _chain(k: _KeyColumns) -> Iterator[tuple]:
-    """`check_chain`: the Table 2 terms at a = -1, 0, 1/2, 1 and 2, each from
-    its own classical sum, not through the power mean."""
-    terms = [
-        2.0 * k.edge_sum(lambda x, y: x * y / (x + y)),
-        k.reciprocal_randic,
-        0.25 * k.edge_sum(lambda x, y: (x**0.5 + y**0.5) ** 2.0),
-        k.m1 / 2.0,
-        2.0**-0.5 * k.sombor,
-    ]
+    """`check_chain`: the rows of `indices.SPECIAL_VALUES` from a = -1 to 2,
+    each its scale times its own classical edge sum, not the power mean."""
+    terms = [scale * k.edge_sum(term) for a, _, scale, term in SPECIAL_VALUES if -1.0 <= a <= 2.0]
     for bound_id, lhs, rhs in zip(_CHAIN_IDS, terms, terms[1:]):
         yield bound_id, None, lhs, rhs, k.balanced, True, ~k.balanced
 
@@ -320,7 +309,7 @@ def _kalpha(k: _KeyColumns, alphas: Sequence[float]) -> Iterator[tuple]:
 
 def _so_sandwich(k: _KeyColumns, alphas: Sequence[Alpha]) -> Iterator[tuple]:
     """`check_so_sandwich` at each exponent: one or two links."""
-    so, balanced, unbalanced = k.sombor, k.balanced, ~k.balanced
+    so, balanced, unbalanced = k.edge_sum(math.hypot), k.balanced, ~k.balanced
     upper = 2.0**-0.5 * so
     for a in alphas:
         mso = k.mso(a)
@@ -359,7 +348,7 @@ def _ka_powersum(k: _KeyColumns, alphas: Sequence[float], betas: Sequence[float]
 
 def _mso2_m1_m2(k: _KeyColumns) -> Iterator[tuple]:
     """`check_mso2_m1_m2_bound`."""
-    rhs = k.m1 - k.reciprocal_randic
+    rhs = k.edge_sum(operator.add) - k.edge_sum(geometric_term)  # M1 - R^{-1}
     yield "mso2-m1-m2", Alpha.finite(2), k.mso(2.0), rhs, k.balanced, True, False
 
 
@@ -461,8 +450,8 @@ def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
     """The five-term special-value chain
     2 ISI <= R^{-1} <= 2^{-2} KA(1/2,2) <= M1/2 <= 2^{-1/2} SO:
     mSO's monotonicity through the rows of `indices.SPECIAL_VALUES` at
-    a = -1, 0, 1/2, 1 and 2, each term computed once from the row's own
-    classical edge/vertex sum, not through the power mean."""
+    a = -1, 0, 1/2, 1 and 2, each term the row's scale times its own
+    classical edge sum, not the power mean."""
     return _view(_chain, g, graph_id)
 
 

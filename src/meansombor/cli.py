@@ -27,7 +27,7 @@ from .graphs import (
     random_connected_graphs,
     to_edge_list_text,
 )
-from .indices import SPECIAL_VALUES, mean_sombor, parse_alpha
+from .indices import SPECIAL_VALUES, mean_sombor, pair_sum, parse_alpha
 from .qspr import (
     AlphaGrid,
     QsprDataset,
@@ -37,7 +37,6 @@ from .qspr import (
     qspr_at_alpha,
     reports_to_json,
     scan_properties,
-    write_curve_csv,
     write_reports_csv as write_qspr_csv,
 )
 from .spectral import (
@@ -85,9 +84,9 @@ def compute(graph_path: str, alpha_spec: str, fmt: str, out: str | None) -> None
     g = _read_graph(graph_path)
     a = parse_alpha(alpha_spec)
     rows: list[tuple[str, float]] = [(f"mSO[{a.token()}]", mean_sombor(g, a))]
-    for special, label, fn in SPECIAL_VALUES:
+    for special, label, scale, term in SPECIAL_VALUES:
         rows.append((f"mSO[{special.token()}]", mean_sombor(g, special)))
-        rows.append((label, fn(g)))
+        rows.append((label, scale * pair_sum(g, term)))
     if fmt == "json":
         text = json.dumps(
             [{"quantity": q, "value": v} for q, v in rows], indent=2
@@ -110,9 +109,8 @@ def matrix(graph_path: str, alpha_spec: str, out: str) -> None:
     g = _read_graph(graph_path)
     a = parse_alpha(alpha_spec)
     mat = build_matrix(g, a)
-    buf = io.StringIO()
-    write_matrix_csv(mat, buf)
-    Path(out).write_text(buf.getvalue(), encoding="utf-8")
+    with open(out, "w", encoding="utf-8") as fh:
+        write_matrix_csv(mat, fh)
     click.echo(f"matrix written to {out}")
     click.echo(f"trace_of_square,{format(trace_of_square(mat), '.17g')}")
     if not g.edge_count:
@@ -225,7 +223,7 @@ def scan(
                     f"properties {other!r} and {p!r} would both write curve-{_slug(p)}.csv",
                     param_hint="'--curve-out'",
                 )
-    scans = scan_properties(ds, props, grid)
+    points, scans = scan_properties(ds, props, grid)
     t2 = time.perf_counter()
     # the report is written before any curve file, but after the curve directory
     # is made (it may hold the report): a report that cannot be written leaves no
@@ -243,10 +241,10 @@ def scan(
         raise
     t3 = time.perf_counter()
     if curve_dir:
-        template = curve_template([a for a, _ in scans[0][1]])  # every curve runs over the one grid
-        for p, (_, curve) in zip(props, scans):
+        template = curve_template(points)
+        for p, (_, r) in zip(props, scans):
             with (d / f"curve-{_slug(p)}.csv").open("w", encoding="utf-8") as fh:
-                write_curve_csv(curve, fh, template)
+                fh.write(template % tuple(r.tolist()))
     t4 = time.perf_counter()
     if timings:
         _echo_timings(

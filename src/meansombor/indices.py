@@ -20,6 +20,7 @@ once.
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal
 from itertools import accumulate, chain, repeat, starmap
 from typing import Callable, Iterable, Sequence
@@ -184,19 +185,10 @@ def power_mean_grid(pairs: Sequence[tuple[int, int]], alphas: Sequence[Alpha]) -
     return np.array(rows, dtype=float).reshape(len(pairs), len(floats))
 
 
-def descriptor_matrix(graphs: Sequence[Graph], alphas: Sequence[Alpha]) -> np.ndarray:
-    """mSO of every graph at every exponent, shape (len(graphs), len(alphas)).
-
-    Evaluates the kernel once per distinct degree pair of the whole set,
-    then X = C @ PM with C the per-graph pair counts.
-    """
-    pairs = sorted({p for g in graphs for p, _ in g.degree_pairs})
-    column = {p: j for j, p in enumerate(pairs)}
-    counts = np.zeros((len(graphs), len(pairs)))
-    for i, g in enumerate(graphs):
-        for p, c in g.degree_pairs:
-            counts[i, column[p]] = c
-    return counts @ power_mean_grid(pairs, alphas)
+def descriptor_matrix(profiles: ProfileSums, alphas: Sequence[Alpha]) -> np.ndarray:
+    """mSO of each key of degree-pair `profiles` at each exponent, shape (keys,
+    len(alphas)): their count matrix times one kernel row per distinct pair."""
+    return profiles.counts() @ power_mean_grid(profiles.items, alphas)
 
 
 def pair_sum(g: Graph, term: Callable[[int, int], float]) -> float:
@@ -214,10 +206,11 @@ def pair_sum(g: Graph, term: Callable[[int, int], float]) -> float:
 
 
 class ProfileSums:
-    """One multiset of items per key, such as each graph's degree pairs.  A
-    key's sum of per-item terms is one `math.fsum` over its items repeated by
-    count: fsum is correctly rounded, so that is the sum over the edges
-    (vertices) they count, bit for bit, as :func:`pair_sum` gives it."""
+    """One multiset of items per key, such as each graph's degree pairs, and
+    on request (`counts()`) the keys x items matrix of their counts.  A key's
+    sum of per-item terms is one `math.fsum` over its items repeated by count:
+    fsum is correctly rounded, so that is the sum over the edges (vertices)
+    they count, bit for bit, as :func:`pair_sum` gives it."""
 
     def __init__(self, multisets: Sequence[Sequence[tuple]]) -> None:
         self.items = sorted({x for ms in multisets for x, _ in ms})
@@ -238,6 +231,12 @@ class ProfileSums:
 
     def sums(self, terms: Sequence[float]) -> np.ndarray:
         return self.fsums(self.spread(terms).tolist())
+
+    def counts(self) -> np.ndarray:
+        """Each key's count of each item (indexed like `items`), as floats."""
+        n, k = len(self._spans), len(self.items)
+        key = np.repeat(np.arange(n), [e - s for s, e in self._spans])
+        return np.bincount(key * k + self._spread, minlength=n * k).reshape(n, k).astype(float)
 
     def extremes(self, terms: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Each key's largest and smallest term."""
@@ -260,18 +259,32 @@ def edge_terms(g: Graph, a: Alpha) -> list[float]:
 # ---------------------------------------------------------------------------
 # Classical indices (edge sums over the same degree-pair profile, but with
 # their own closed-form terms, not routed through the power mean -- they
-# double as cross-checks of the special cases; M1 is a vertex sum)
+# double as cross-checks of the special cases; M1 is a vertex sum).  The
+# edge terms come first: each is one object, which its index function and
+# its row of SPECIAL_VALUES both sum.
 # ---------------------------------------------------------------------------
+
+def isi_term(x: int, y: int) -> float:
+    return x * y / (x + y)
+
+
+def geometric_term(x: int, y: int) -> float:
+    return math.sqrt(x * y)
+
+
+def ka_term(alpha: float, beta: float) -> Callable[[int, int], float]:
+    return lambda x, y: (x**alpha + y**alpha) ** beta
+
 
 def inverse_sum_indeg(g: Graph) -> float:
     """ISI = sum over edges of d_u d_v / (d_u + d_v)."""
-    return pair_sum(g, lambda x, y: x * y / (x + y))
+    return pair_sum(g, isi_term)
 
 
 def reciprocal_randic(g: Graph) -> float:
     """R^{-1} = sum over edges of sqrt(d_u d_v); equals the variable second
     Zagreb index at exponent 1/2."""
-    return pair_sum(g, lambda x, y: math.sqrt(x * y))
+    return pair_sum(g, geometric_term)
 
 
 def first_zagreb(g: Graph) -> float:
@@ -299,7 +312,7 @@ def alpha_sombor(g: Graph, alpha: float) -> float:
 
 def ka_index(g: Graph, alpha: float, beta: float) -> float:
     """First (a,b)-KA index: sum over edges of (d_u^a + d_v^a)^b."""
-    return pair_sum(g, lambda x, y: (x**alpha + y**alpha) ** beta)
+    return pair_sum(g, ka_term(alpha, beta))
 
 
 def min_edge_sum(g: Graph) -> float:
@@ -313,16 +326,17 @@ def max_edge_sum(g: Graph) -> float:
 
 
 # Table 2 of the paper: at these exponents mSO equals a classical index.
-# Rows (exponent, label of the classical expression, its evaluator) in
-# ascending exponent order; the rows from -1 to 2 are the terms of the
-# bound battery's special-value chain.
-SPECIAL_VALUES: tuple[tuple[Alpha, str, Callable[[Graph], float]], ...] = (
-    (ALPHA_MINUS_INF, "SP-min", min_edge_sum),
-    (Alpha.finite(-1), "2*ISI", lambda g: 2.0 * inverse_sum_indeg(g)),
-    (ZERO_LIMIT, "R^-1", reciprocal_randic),
-    (Alpha.finite(0.5), "2^-2*KA1[0.5,2]", lambda g: 0.25 * ka_index(g, 0.5, 2.0)),
-    (Alpha.finite(1), "M1/2", lambda g: first_zagreb(g) / 2.0),
-    (Alpha.finite(2), "2^-1/2*SO", lambda g: 2.0**-0.5 * sombor(g)),
-    (Alpha.finite(3), "2^-1/3*KA1[3,1/3]", lambda g: 2.0 ** (-1 / 3) * ka_index(g, 3.0, 1 / 3)),
-    (ALPHA_PLUS_INF, "SP-max", max_edge_sum),
+# Rows (exponent, label, scale, edge term) in ascending exponent order: the
+# index is scale * pair_sum(g, term), the term the one its function above
+# sums (M1/2 sums d_u + d_v, integers exact below 2^53, so M1's bits).  The
+# rows from -1 to 2 are the terms of the bound battery's special-value chain.
+SPECIAL_VALUES: tuple[tuple[Alpha, str, float, Callable[[int, int], float]], ...] = (
+    (ALPHA_MINUS_INF, "SP-min", 1.0, min),
+    (Alpha.finite(-1), "2*ISI", 2.0, isi_term),
+    (ZERO_LIMIT, "R^-1", 1.0, geometric_term),
+    (Alpha.finite(0.5), "2^-2*KA1[0.5,2]", 0.25, ka_term(0.5, 2.0)),
+    (Alpha.finite(1), "M1/2", 0.5, operator.add),
+    (Alpha.finite(2), "2^-1/2*SO", 2.0**-0.5, math.hypot),
+    (Alpha.finite(3), "2^-1/3*KA1[3,1/3]", 2.0 ** (-1 / 3), ka_term(3.0, 1 / 3)),
+    (ALPHA_PLUS_INF, "SP-max", 1.0, max),
 )

@@ -2,18 +2,18 @@
 one-descriptor linear model, and scan the power-mean exponent for the best
 Pearson correlation.
 
-The model is ``property ~ c1 * mSO_a(G) + c2`` per property.  The scan's
-grid curve is Pearson's r of every grid column at once.  The descriptor
-matrix (``indices.descriptor_matrix``, one kernel row over the grid per
-distinct degree pair) is built once per command over all
-records, and each property reads its records' rows; the curve agrees
-with per-point fits to matmul rounding (nan where the records share one
-mSO).  Refinement and the candidates are ranked by |r| alone, from mSO
-summed over each record's degree pairs (``indices.ProfileSums``, bit for
-bit mean_sombor), and only the winner is fitted.  For each reported
-exponent the pipeline gives Pearson's r, the slope/intercept, the
-standard error of estimate, the F statistic
-``r^2 (n-2) / (1-r^2)`` and its upper-tail significance under F(1, n-2).
+The model is ``property ~ c1 * mSO_a(G) + c2`` per property.  A dataset
+has one degree-pair profile table (``QsprDataset.profiles``), read by the
+descriptor matrix (``indices.descriptor_matrix``, built once per command),
+the refinement and every fit, each property taking its records' rows.  The
+scan's curve is one r array over the grid, Pearson's r of every matrix
+column at once; it agrees with per-point fits to matmul rounding (nan where
+the records share one mSO).  Refinement and the candidates are ranked by
+|r| alone, from mSO summed over each record's degree pairs (bit for bit
+mean_sombor), and only the winner is fitted, by `qspr_at_alpha`.  For
+each reported exponent the pipeline gives Pearson's r, the slope/intercept,
+the standard error of estimate, the F statistic ``r^2 (n-2) / (1-r^2)`` and
+its upper-tail significance under F(1, n-2).
 The significance is computed with an in-package regularized incomplete
 beta (continued fraction, at most 300 iterations), so p-values far below
 1e-15 keep their relative accuracy.
@@ -35,7 +35,8 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import IO, NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -215,10 +216,19 @@ class QsprDataset:
     def usable_properties(self) -> list[str]:
         return [p for p in self.property_names if self.is_usable(p)]
 
-    def column(self, prop: str) -> list[QsprRecord]:
+    def rows(self, prop: str) -> list[int]:
+        """Positions of the records that carry a value for a usable property."""
         if not self.is_usable(prop):
             raise ValueError(f"property {prop!r} is missing or has fewer than 3 values")
-        return [rec for rec in self.records if prop in rec.properties]
+        return [i for i, rec in enumerate(self.records) if prop in rec.properties]
+
+    def column(self, prop: str) -> list[QsprRecord]:
+        return [self.records[i] for i in self.rows(prop)]
+
+    @cached_property
+    def profiles(self) -> ProfileSums:
+        """The records' degree-pair profiles, built on first use."""
+        return ProfileSums([rec.graph.degree_pairs for rec in self.records])
 
 
 def load_dataset(graphs: Sequence[NamedGraph], properties_csv: str) -> QsprDataset:
@@ -302,19 +312,18 @@ class RegressionReport:
     n: int
 
 
-def _mso(profiles: ProfileSums, a: Alpha) -> list[float]:
-    """Each record's mSO at `a`: the kernel once per distinct degree pair,
-    then one fsum per record, so mean_sombor's value bit for bit."""
-    return profiles.sums([power_mean(x, y, a) for x, y in profiles.items]).tolist()
+def _mso(ds: QsprDataset, rows: list[int], a: Alpha) -> list[float]:
+    """The mSO at `a` of the records at `rows`: the kernel once per distinct
+    degree pair of the dataset, then one fsum per record, so mean_sombor's
+    value bit for bit (a record's fsum reads none of the other records)."""
+    return ds.profiles.sums([power_mean(x, y, a) for x, y in ds.profiles.items])[rows].tolist()
 
 
 def qspr_at_alpha(ds: QsprDataset, prop: str, a: Alpha) -> RegressionReport:
     """Fit the linear model of one property against mSO at one exponent."""
-    recs = ds.column(prop)
-    x = _mso(ProfileSums([rec.graph.degree_pairs for rec in recs]), a)
-    y = [rec.properties[prop] for rec in recs]
-    fit = fit_linear(x, y)
-    return RegressionReport(property=prop, alpha=a, n=len(x), **fit._asdict())
+    rows = ds.rows(prop)
+    fit = fit_linear(_mso(ds, rows, a), [ds.records[i].properties[prop] for i in rows])
+    return RegressionReport(property=prop, alpha=a, n=len(rows), **fit._asdict())
 
 
 # Largest number of finite points an AlphaGrid may hold: 50 times the
@@ -405,47 +414,46 @@ def _pearson_columns(x: np.ndarray, y: Sequence[float]) -> np.ndarray:
 
 def scan_properties(
     ds: QsprDataset, props: Sequence[str], grid: AlphaGrid | None = None
-) -> list[tuple[RegressionReport, list[tuple[Alpha, float]]]]:
+) -> tuple[list[Alpha], list[tuple[RegressionReport, np.ndarray]]]:
     """Find the exponent maximizing |r| for each property.
 
-    Builds the grid, its float array and the descriptor matrix over all
-    records once, and checks once that the matrix is monotone in alpha; a
-    property's grid curve is Pearson's r over the rows of its records (nan
-    where those rows share one mSO, an exponent never picked).
+    Builds the grid, its float array and the descriptor matrix over the
+    dataset's profile table once, and checks once that the matrix is monotone
+    in alpha; a property's grid curve is Pearson's r over the rows of its
+    records (nan where those rows share one mSO, an exponent never picked).
     Refines around the best finite grid point (largest |r|, then smallest
     |alpha|, then the earlier point) with a golden-section search to
     bracket width 1e-3, then picks the best of {refined finite, 0-limit,
     -inf, +inf}; ties prefer the smaller |alpha|, then the smaller alpha.
-    Returns the report of the winner, the one exponent fitted, and the
-    (alpha, r) grid curve per property.
+    Returns the grid's points, and per property the report of the winner,
+    the one exponent fitted, with its r array over the points.
     """
-    columns = [ds.column(p) for p in props]
+    rows = [ds.rows(p) for p in props]
     grid = grid or AlphaGrid()
     points = grid.points()
     alphas = np.array(points, dtype=float)
     finite = np.flatnonzero(np.isfinite(alphas) & (alphas != 0.0))
-    x_all = descriptor_matrix([rec.graph for rec in ds.records], points)
+    x_all = descriptor_matrix(ds.profiles, points)
     # mSO is nondecreasing in the exponent: every row follows the ascending grid
     prev, cur = x_all[:, :-1], x_all[:, 1:]
     if (cur < prev - 1e-9 * (1.0 + np.abs(prev))).any():
         raise RuntimeError("descriptor vectors are not monotone in alpha")
     scans = []
-    for prop, recs in zip(props, columns):
-        rows = [i for i, rec in enumerate(ds.records) if prop in rec.properties]
-        y = [rec.properties[prop] for rec in recs]
-        r = _pearson_columns(x_all[rows], y)
+    for prop, prop_rows in zip(props, rows):
+        y = [ds.records[i].properties[prop] for i in prop_rows]
+        r = _pearson_columns(x_all[prop_rows], y)
         best = points[_best_finite_point(alphas, finite, r)]
-        profiles = ProfileSums([rec.graph.degree_pairs for rec in recs])
-        report = qspr_at_alpha(ds, prop, _best_alpha(profiles, y, best, grid))
-        scans.append((report, list(zip(points, r.tolist()))))
-    return scans
+        abs_r = partial(_abs_r, ds, prop_rows, y)
+        scans.append((qspr_at_alpha(ds, prop, _best_alpha(abs_r, best, grid)), r))
+    return points, scans
 
 
 def alpha_scan(
     ds: QsprDataset, prop: str, grid: AlphaGrid | None = None
 ) -> tuple[RegressionReport, list[tuple[Alpha, float]]]:
-    """:func:`scan_properties` for one property."""
-    return scan_properties(ds, [prop], grid)[0]
+    """:func:`scan_properties` for one property, its curve as (alpha, r) points."""
+    points, [(report, r)] = scan_properties(ds, [prop], grid)
+    return report, list(zip(points, r.tolist()))
 
 
 def _best_finite_point(alphas: np.ndarray, finite: np.ndarray, r: np.ndarray) -> int:
@@ -458,25 +466,21 @@ def _best_finite_point(alphas: np.ndarray, finite: np.ndarray, r: np.ndarray) ->
     return int(finite[np.lexsort((np.abs(alphas[finite]), -np.abs(r[finite])))[0]])
 
 
-def _abs_r(profiles: ProfileSums, y: Sequence[float], a: Alpha) -> float:
-    """|r| of y on the records' mSO at `a`, bit for bit |qspr_at_alpha(...).r|,
-    without the F test; -inf, below every |r|, where the records share one
-    mSO and there is no r."""
+def _abs_r(ds: QsprDataset, rows: list[int], y: Sequence[float], a: Alpha) -> float:
+    """|r| of y on the mSO at `a` of the records at `rows`, bit for bit
+    |qspr_at_alpha(...).r|, without the F test; -inf, below every |r|, where
+    the records share one mSO and there is no r."""
     try:
-        return abs(_pearson(_mso(profiles, a), y)[0])
+        return abs(_pearson(_mso(ds, rows, a), y)[0])
     except DegeneratePredictorError:
         return -math.inf
 
 
-def _best_alpha(profiles: ProfileSums, y: Sequence[float], best: Alpha, grid: AlphaGrid) -> Alpha:
+def _best_alpha(abs_r: Callable[[Alpha], float], best: Alpha, grid: AlphaGrid) -> Alpha:
     """The best exponent: the best finite grid point refined by golden
-    section, against the three limit points, all ranked by `_abs_r`."""
-
-    def abs_r(v: float) -> float:
-        return _abs_r(profiles, y, Alpha(v))
-
+    section, against the three limit points, all ranked by `abs_r`."""
     lo, hi = max(best - grid.step, grid.lo), min(best + grid.step, grid.hi)
-    refined = _golden_section_max(abs_r, lo, hi, tol=1e-3, seed=best)
+    refined = _golden_section_max(lambda v: abs_r(Alpha(v)), lo, hi, tol=1e-3, seed=best)
     candidates = (Alpha(refined), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF)
     return min(candidates, key=lambda a: (-abs_r(a), abs(a), a))
 
@@ -552,13 +556,7 @@ def curve_template(alphas: Sequence[Alpha]) -> str:
     return "alpha,r\n" + "".join(f"{a.token()},%.17g\n" for a in alphas)
 
 
-def write_curve_csv(
-    curve: Sequence[tuple[Alpha, float]], stream: IO[str], template: str | None = None
-) -> None:
-    """Two-column CSV (alpha, r); the limit points use their tokens.
-
-    `template` is :func:`curve_template` of the curve's exponents, for a
-    caller that writes several curves of one grid and builds it once."""
-    if template is None:
-        template = curve_template([a for a, _ in curve])
-    stream.write(template % tuple(r for _, r in curve))
+def write_curve_csv(curve: Sequence[tuple[Alpha, float]], stream: IO[str]) -> None:
+    """Two-column CSV (alpha, r); the limit points use their tokens.  A
+    caller with several curves over one grid fills one :func:`curve_template`."""
+    stream.write(curve_template([a for a, _ in curve]) % tuple(r for _, r in curve))

@@ -35,6 +35,7 @@ from meansombor.indices import (
     first_zagreb,
     ka_index,
     mean_sombor,
+    pair_sum,
     reciprocal_randic,
     sombor,
     variable_first_zagreb,
@@ -75,9 +76,9 @@ def check_chain(g: Graph, graph_id: str = "") -> list[BoundReport]:
     """The five-term special-value chain
     2 ISI <= R^{-1} <= 2^{-2} KA(1/2,2) <= M1/2 <= 2^{-1/2} SO:
     mSO's monotonicity through the rows of `indices.SPECIAL_VALUES` at
-    a = -1, 0, 1/2, 1 and 2, each term computed once from the row's own
-    classical edge/vertex sum, not through the power mean."""
-    terms = [fn(g) for a, _, fn in SPECIAL_VALUES if -1.0 <= a <= 2.0]
+    a = -1, 0, 1/2, 1 and 2, each term the row's scale times the graph's
+    edge sum of the row's classical term, not the power mean."""
+    terms = [scale * pair_sum(g, term) for a, _, scale, term in SPECIAL_VALUES if -1.0 <= a <= 2.0]
     balanced = all_components_regular(g)
     return [
         BoundReport(

@@ -9,6 +9,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from meansombor import bounds
@@ -30,6 +31,7 @@ from meansombor.indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
+    ProfileSums,
     SPECIAL_VALUES,
     ZERO_LIMIT,
     alpha_sombor,
@@ -40,6 +42,7 @@ from meansombor.indices import (
     max_edge_sum,
     mean_sombor,
     min_edge_sum,
+    pair_sum,
     parse_alpha,
     power_mean,
     power_mean_grid,
@@ -304,11 +307,34 @@ def test_power_mean_row_matches_scalar_oracle_at_its_branch_edges():
 def test_descriptor_matrix_matches_mean_sombor():
     graphs = [s.graph for s in enumerate_octane_skeletons()] + [complete_graph(5)]
     points = AlphaGrid(-3, 3, 0.25).points()
-    x = descriptor_matrix(graphs, points)
+    x = descriptor_matrix(ProfileSums([g.degree_pairs for g in graphs]), points)
     assert x.shape == (len(graphs), len(points))
     for g, row in zip(graphs, x.tolist()):
         for a, v in zip(points, row):
             assert v == pytest.approx(mean_sombor(g, a), rel=1e-13, abs=0.0)
+
+
+def _count_loop_descriptor_matrix(graphs, alphas):
+    """The descriptor matrix as it was built from graphs: its own sorted pair
+    list, column map and count loop, then the same product."""
+    pairs = sorted({p for g in graphs for p, _ in g.degree_pairs})
+    column = {p: j for j, p in enumerate(pairs)}
+    counts = np.zeros((len(graphs), len(pairs)))
+    for i, g in enumerate(graphs):
+        for p, c in g.degree_pairs:
+            counts[i, column[p]] = c
+    return counts @ power_mean_grid(pairs, alphas)
+
+
+def test_descriptor_matrix_matches_the_count_loop_bit_for_bit():
+    octanes = [s.graph for s in enumerate_octane_skeletons()]
+    mixed = [n.graph for n in default_corpus()[:40] + random_connected_graphs(10, seed=12)]
+    for graphs, grid in ((octanes, AlphaGrid()), (mixed, AlphaGrid(-3, 3, 0.05))):
+        points = grid.points()
+        x = descriptor_matrix(ProfileSums([g.degree_pairs for g in graphs]), points)
+        want = _count_loop_descriptor_matrix(graphs, points)
+        assert x.shape == want.shape
+        assert x.tobytes() == want.tobytes()
 
 
 def test_regular_graph_value_is_bit_identical_across_alpha():
@@ -405,15 +431,38 @@ def test_special_case_identities_on_corpus():
 
 def test_special_values_table_matches_mean_sombor():
     # the Table-2 rows that compute prints and the chain family orders
-    exponents = [a for a, _, _ in SPECIAL_VALUES]
+    exponents = [a for a, _, _, _ in SPECIAL_VALUES]
     assert all(a1 < a2 for a1, a2 in zip(exponents, exponents[1:]))
     for named in default_corpus() + random_connected_graphs(25, seed=9):
         g = named.graph
-        for a, label, fn in SPECIAL_VALUES:
+        for a, label, scale, term in SPECIAL_VALUES:
+            value = scale * pair_sum(g, term)
             if math.isinf(a):
-                assert fn(g) == mean_sombor(g, a), (named.name, label)
+                assert value == mean_sombor(g, a), (named.name, label)
             else:
-                assert fn(g) == pytest.approx(mean_sombor(g, a), rel=1e-12), (named.name, label)
+                assert value == pytest.approx(mean_sombor(g, a), rel=1e-12), (named.name, label)
+
+
+# Each Table-2 row through the public classical function of its label.
+CLASSICAL_BY_LABEL = {
+    "SP-min": min_edge_sum,
+    "2*ISI": lambda g: 2.0 * inverse_sum_indeg(g),
+    "R^-1": reciprocal_randic,
+    "2^-2*KA1[0.5,2]": lambda g: 0.25 * ka_index(g, 0.5, 2.0),
+    "M1/2": lambda g: first_zagreb(g) / 2.0,
+    "2^-1/2*SO": lambda g: 2.0**-0.5 * sombor(g),
+    "2^-1/3*KA1[3,1/3]": lambda g: 2.0 ** (-1 / 3) * ka_index(g, 3.0, 1 / 3),
+    "SP-max": max_edge_sum,
+}
+
+
+def test_special_values_rows_equal_their_classical_functions_bit_for_bit():
+    assert [label for _, label, _, _ in SPECIAL_VALUES] == list(CLASSICAL_BY_LABEL)
+    for named in default_corpus() + random_connected_graphs(25, seed=9):
+        g = named.graph
+        for _, label, scale, term in SPECIAL_VALUES:
+            got, want = scale * pair_sum(g, term), CLASSICAL_BY_LABEL[label](g)
+            assert got.hex() == float(want).hex(), (named.name, label)
 
 
 def test_variable_first_zagreb_equals_edge_sum():

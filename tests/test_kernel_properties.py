@@ -7,6 +7,7 @@ drawn log-uniformly in magnitude over [1e-300, 1e6].
 
 import math
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -142,3 +143,14 @@ def test_profile_sums_equal_pair_sum_per_graph(graphs, a):
     for term in (lambda x, y: power_mean(x, y, a), lambda x, y: x * y / (x + y)):
         sums = profiles.sums([term(x, y) for x, y in profiles.items])
         assert sums.tolist() == [pair_sum(g, term) for g in graphs]
+
+
+@given(st.lists(edge_sets(), max_size=6))
+def test_profile_counts_are_each_profiles_edge_counter(graphs):
+    profiles = ProfileSums([g.degree_pairs for g in graphs])
+    counts = profiles.counts()
+    assert counts.shape == (len(graphs), len(profiles.items)) and counts.dtype == float
+    for g, row in zip(graphs, counts.tolist()):
+        deg = g.degrees
+        edges = Counter(tuple(sorted((deg[u], deg[v]))) for u, v in g.edge_list)
+        assert {p: c for p, c in zip(profiles.items, row) if c} == edges

@@ -5,6 +5,7 @@ the fit itself is cross-checked against closed forms on frozen inputs.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -454,26 +455,37 @@ def test_scan_properties_matches_per_property_scans():
     ds = load_dataset(SKELETONS, three_property_csv())
     props = ["A", "B", "C"]
     assert [ds.count(p) for p in props] == [18, 16, 17]
-    scans = qspr.scan_properties(ds, props)
-    assert scans == [alpha_scan(ds, p) for p in props]  # reports and curves, bit for bit
-    # each curve reads the rows of its own records out of the shared matrix
-    for p, (_, curve) in zip(props, scans):
+    points, scans = qspr.scan_properties(ds, props)
+    assert points == AlphaGrid().points()
+    for p, (best, r) in zip(props, scans):
+        # the report equal, and the r array the one-property curve's r bit for bit
+        one_best, one_curve = alpha_scan(ds, p)
+        assert best == one_best
+        assert [a for a, _ in one_curve] == points
+        assert r.shape == (len(points),) and r.dtype == float
+        assert r.tobytes() == np.array([v for _, v in one_curve]).tobytes()
+        # each curve reads the rows of its own records out of the shared matrix
         recs = ds.column(p)
         y = [rec.properties[p] for rec in recs]
-        for a, r in curve[::50] + curve[-1:]:
+        for a, v in list(zip(points, r.tolist()))[::50] + [(points[-1], r[-1])]:
             x = [mean_sombor(rec.graph, a) for rec in recs]
-            assert r == pytest.approx(fit_linear(x, y).r, rel=0.0, abs=1e-12)
+            assert v == pytest.approx(fit_linear(x, y).r, rel=0.0, abs=1e-12)
 
 
 def test_scan_command_builds_grid_and_matrix_once(capsys, monkeypatch, tmp_path):
     table = tmp_path / "props.csv"
     table.write_text(three_property_csv(), encoding="utf-8")
-    calls = {"descriptor_matrix": 0, "points": 0}
+    calls = {"descriptor_matrix": 0, "points": 0, "ProfileSums": 0}
     real_matrix, real_points = qspr.descriptor_matrix, AlphaGrid.points
 
-    def counted_matrix(graphs, alphas):
+    def counted_matrix(profiles, alphas):
         calls["descriptor_matrix"] += 1
-        return real_matrix(graphs, alphas)
+        return real_matrix(profiles, alphas)
+
+    class CountedProfileSums(ProfileSums):
+        def __init__(self, multisets):
+            calls["ProfileSums"] += 1
+            super().__init__(multisets)
 
     def counted_points(self):
         calls["points"] += 1
@@ -481,10 +493,12 @@ def test_scan_command_builds_grid_and_matrix_once(capsys, monkeypatch, tmp_path)
 
     monkeypatch.setattr(qspr, "descriptor_matrix", counted_matrix)
     monkeypatch.setattr(AlphaGrid, "points", counted_points)
+    monkeypatch.setattr(qspr, "ProfileSums", CountedProfileSums)
     out = tmp_path / "scan.csv"
     argv = ["scan", "--properties", str(table), "--alpha-range", "-2:2:0.1", "--out", str(out)]
     assert main(argv) == 0
-    assert calls == {"descriptor_matrix": 1, "points": 1}
+    # one profile table for the dataset, read by the matrix, the refinements and the fits
+    assert calls == {"descriptor_matrix": 1, "points": 1, "ProfileSums": 1}
     assert [row[0] for row in csv.reader(io.StringIO(out.read_text()))] == ["property", "A", "B", "C"]
 
     assert main(["scan", "--properties", str(table), "--property", "D"]) == 1
@@ -558,9 +572,8 @@ def test_curve_writer_matches_csv_writer_bytes():
         buf = io.StringIO()
         write_curve_csv(curve, buf)
         assert buf.getvalue() == expected
-        shared = io.StringIO()
-        write_curve_csv(curve, shared, curve_template(points))
-        assert shared.getvalue() == expected
+        # the scan command's route: one template per grid, filled with each r array
+        assert curve_template(points) % tuple(np.array([r for _, r in curve]).tolist()) == expected
 
 
 def test_profile_mso_is_mean_sombor_bit_for_bit():
@@ -568,13 +581,31 @@ def test_profile_mso_is_mean_sombor_bit_for_bit():
     finite = [1e-9, -3e-7, 0.001, -0.02, 0.5, -0.999, 1.0, 1.37, -2.5, 7.25, -38.0, 400.0]
     exponents = [*map(Alpha.finite, finite), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
     for prop in ds.property_names:
-        recs = ds.column(prop)
-        profiles = ProfileSums([rec.graph.degree_pairs for rec in recs])
+        recs, rows = ds.column(prop), ds.rows(prop)
         y = [rec.properties[prop] for rec in recs]
         for a in exponents:
             x = [mean_sombor(rec.graph, a) for rec in recs]
-            assert qspr._mso(profiles, a) == x, (prop, a)
-            assert qspr._abs_r(profiles, y, a) == abs(fit_linear(x, y).r), (prop, a)
+            assert qspr._mso(ds, rows, a) == x, (prop, a)
+            assert qspr._abs_r(ds, rows, y, a) == abs(fit_linear(x, y).r), (prop, a)
+
+
+def _report_bits(rep):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(rep)]
+
+
+def test_qspr_at_alpha_through_the_dataset_table_matches_per_column_tables():
+    # B and C miss cells, so their records are a strict subset of the table's
+    ds = load_dataset(SKELETONS, three_property_csv())
+    finite = [1e-9, -3e-7, 0.001, -0.02, 0.5, -0.999, 1.0, 1.37, -2.5, 7.25, -38.0, 400.0]
+    exponents = [*map(Alpha.finite, finite), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
+    for prop in ds.property_names:
+        recs = ds.column(prop)
+        column = ProfileSums([rec.graph.degree_pairs for rec in recs])  # one table per column
+        y = [rec.properties[prop] for rec in recs]
+        for a in exponents:
+            x = column.sums([qspr.power_mean(u, v, a) for u, v in column.items]).tolist()
+            want = qspr.RegressionReport(prop, a, n=len(x), **fit_linear(x, y)._asdict())
+            assert _report_bits(qspr_at_alpha(ds, prop, a)) == _report_bits(want), (prop, a)
 
 
 # four octanes whose mSO coincide at -inf, and only there on the grid -2:2:0.5
