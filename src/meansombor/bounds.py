@@ -17,10 +17,11 @@ predicted and observed equality agree (`verdict`).
 
 Each column entry equals the formula taken on one graph with floats, bit
 for bit.  Every edge or vertex sum is one `math.fsum` per key, as
-`pair_sum` takes it; per-key arithmetic on a side that can overflow is
-CPython's, which raises where numpy would return inf or nan; numpy does
-only + - * /, sqrt, min/max and comparisons, which IEEE arithmetic rounds
-alike everywhere.
+`pair_sum` takes it, and mSO and PM come from the keys' degree-pair table
+(`ProfileSums.mso`/`power_means`); per-key arithmetic on a side that can
+overflow is CPython's, which raises where numpy would return inf or nan;
+numpy does only + - * /, sqrt, min/max and comparisons, which IEEE
+arithmetic rounds alike everywhere.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .indices import (
     ProfileSums,
     ZERO_LIMIT,
     geometric_term,
-    power_mean_grid,
 )
 from .spectral import variance_columns
 
@@ -191,21 +191,7 @@ class _KeyColumns:
              for ds, i, pairs in zip(degrees, isolated, profiles)],
             dtype=bool,
         )
-        self._pm: dict[Alpha, np.ndarray] = {}
-        self._mso: dict[Alpha, np.ndarray] = {}
         self._edge_sums: dict[Callable, np.ndarray] = {}
-
-    def pm(self, a: Alpha) -> np.ndarray:
-        """PM_a of each distinct pair, indexed like `edges.items`."""
-        if a not in self._pm:
-            self._pm[a] = power_mean_grid(self.edges.items, [a])[:, 0]
-        return self._pm[a]
-
-    def mso(self, a: Alpha) -> np.ndarray:
-        """Each key's mSO_a."""
-        if a not in self._mso:
-            self._mso[a] = self.edges.sums(self.pm(a))
-        return self._mso[a]
 
     def edge_sum(self, term: Callable[[int, int], float]) -> np.ndarray:
         """Each key's sum over its edges of term(d_lo, d_hi), once per term object."""
@@ -257,7 +243,7 @@ def _monotonicity(k: _KeyColumns, lower: Sequence[Alpha], upper: Sequence[Alpha]
     for a1, a2 in zip(lower, upper):
         if not a1 < a2:
             raise ValueError(f"need a1 < a2 in the extended order, got {a1} >= {a2}")
-        yield "monotonicity", a2, k.mso(a1), k.mso(a2), k.balanced, True, ~k.balanced
+        yield "monotonicity", a2, k.edges.mso(a1), k.edges.mso(a2), k.balanced, True, ~k.balanced
 
 
 _CHAIN_IDS = ("chain-2isi-r1", "chain-r1-ka", "chain-ka-m1", "chain-m1-so")
@@ -286,7 +272,7 @@ def _jensen_m1(k: _KeyColumns, alphas: Sequence[float]) -> Iterator[tuple]:
         if not k.m.all():
             raise ValueError("the Jensen bound needs at least one edge")
         a = Alpha.finite(alpha)
-        mso, bound = k.mso(a), _jensen_bound(k, alpha)
+        mso, bound = k.edges.mso(a), _jensen_bound(k, alpha)
         lhs, rhs = (mso, bound) if alpha >= 1.0 else (bound, mso)
         clause = (True, True) if alpha == 1.0 else (k.regular_or_biregular, k.connected)
         yield "jensen-m1", a, lhs, rhs, *clause, False
@@ -304,7 +290,7 @@ def _kalpha(k: _KeyColumns, alphas: Sequence[float]) -> Iterator[tuple]:
         bound = _jensen_bound(k, alpha)
         constant = {e: kalpha_constant(*e, alpha) for e in set(k.extremes)}
         rhs = bound * np.array([constant[e] for e in k.extremes])
-        yield "kalpha", Alpha.finite(alpha), k.mso(alpha), rhs, k.regular, True, False
+        yield "kalpha", Alpha.finite(alpha), k.edges.mso(alpha), rhs, k.regular, True, False
 
 
 def _so_sandwich(k: _KeyColumns, alphas: Sequence[Alpha]) -> Iterator[tuple]:
@@ -312,7 +298,7 @@ def _so_sandwich(k: _KeyColumns, alphas: Sequence[Alpha]) -> Iterator[tuple]:
     so, balanced, unbalanced = k.edge_sum(math.hypot), k.balanced, ~k.balanced
     upper = 2.0**-0.5 * so
     for a in alphas:
-        mso = k.mso(a)
+        mso = k.edges.mso(a)
         if 0.0 < a < 2.0:
             yield "so-sandwich-lower", a, 2.0 ** (-1.0 / a) * so, mso, False, True, unbalanced
             yield "so-sandwich-upper", a, mso, upper, balanced, True, False
@@ -349,15 +335,15 @@ def _ka_powersum(k: _KeyColumns, alphas: Sequence[float], betas: Sequence[float]
 def _mso2_m1_m2(k: _KeyColumns) -> Iterator[tuple]:
     """`check_mso2_m1_m2_bound`."""
     rhs = k.edge_sum(operator.add) - k.edge_sum(geometric_term)  # M1 - R^{-1}
-    yield "mso2-m1-m2", Alpha.finite(2), k.mso(2.0), rhs, k.balanced, True, False
+    yield "mso2-m1-m2", Alpha.finite(2), k.edges.mso(2.0), rhs, k.balanced, True, False
 
 
 def _variance_identity(k: _KeyColumns, alphas: Sequence[Alpha]) -> Iterator[tuple]:
     """mSO against the square root of the radicand of the variance identity
     (`spectral.variance_columns`), an equality at each exponent."""
     for a in alphas:
-        _, radicand = variance_columns(k.edges, k.m, k.pm(a), k.mso(a))
-        yield "variance-identity", a, k.mso(a), np.sqrt(np.maximum(radicand, 0.0)), True, True, False
+        mso, (_, radicand) = k.edges.mso(a), variance_columns(k.edges, k.m, a)
+        yield "variance-identity", a, mso, np.sqrt(np.maximum(radicand, 0.0)), True, True, False
 
 
 def _battery(k: _KeyColumns) -> Iterator[tuple]:
@@ -376,8 +362,8 @@ def _battery(k: _KeyColumns) -> Iterator[tuple]:
 class VerificationTable:
     """The rows of a sweep as (batteries, rows) columns over its profile keys.
 
-    Battery b holds the rows of every graph with the profile key
-    `batteries[b]` (degree pairs, vertex count, connected): row j is the
+    Battery b holds the rows of every graph with the b-th distinct profile
+    key (degree pairs, vertex count, connected) in corpus order: row j is the
     check `labels[j]` (bound_id, alpha) with lhs[b, j], rhs[b, j] and the
     equality flags predicted, applicable and strict at [b, j].  `graphs`
     lists every (graph_id, battery) in corpus order.  Iterating the table
@@ -390,9 +376,6 @@ class VerificationTable:
     predicted: np.ndarray
     applicable: np.ndarray
     strict: np.ndarray
-    # only tests read the keys, but freed they land on CPython's tuple free lists:
-    # without this field chemical-trees peak_rss_mb reads 104.6-104.7, not 101.4-101.6
-    batteries: list[tuple]
     graphs: list[tuple[str, int]]
 
     @cached_property
@@ -529,7 +512,7 @@ def run_verification(
 
     return VerificationTable(
         tuple(r[:2] for r in rows), stack(2, float), stack(3, float),
-        stack(4, bool), stack(5, bool), stack(6, bool), k.keys, keyed,
+        stack(4, bool), stack(5, bool), stack(6, bool), keyed,
     )
 
 

@@ -34,13 +34,6 @@ class GraphParseError(ValueError):
     """Raised when an edge-list document is malformed; names the bad line."""
 
 
-class _PairCounts(tuple):
-    """The cached degree-pair profile.  A tuple subclass because CPython keeps
-    freed exact tuples on per-length free lists: as plain tuples, freed with
-    the graphs, they pin their arenas and chemical-trees peak_rss_mb reads
-    101.8-102.1 against 101.4-101.6 (three 5 s perfbench runs, 2 cores)."""
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
@@ -95,7 +88,7 @@ class Graph:
         counts = Counter(
             (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u]) for u, v in self.edges
         )
-        return _PairCounts(sorted(counts.items()))
+        return tuple(sorted(counts.items()))
 
     @property
     def edge_count(self) -> int:

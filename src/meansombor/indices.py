@@ -14,7 +14,7 @@ exponents with the classical expression mSO equals there; the CLI's
 `compute` prints it, and the bound battery's special-value chain orders its
 rows from -1 to 2.  Every edge sum reads the graph's degree-pair profile
 through :func:`pair_sum`, or through :class:`ProfileSums` for many graphs at
-once.
+once, whose `power_means`/`mso` evaluate the bounds', spectral and QSPR exponents.
 """
 
 from __future__ import annotations
@@ -210,7 +210,8 @@ class ProfileSums:
     on request (`counts()`) the keys x items matrix of their counts.  A key's
     sum of per-item terms is one `math.fsum` over its items repeated by count:
     fsum is correctly rounded, so that is the sum over the edges (vertices)
-    they count, bit for bit, as :func:`pair_sum` gives it."""
+    they count, bit for bit, as :func:`pair_sum` gives it.  Over degree pairs,
+    `power_means(a)` and `mso(a)` evaluate an exponent, each once per table."""
 
     def __init__(self, multisets: Sequence[Sequence[tuple]]) -> None:
         self.items = sorted({x for ms in multisets for x, _ in ms})
@@ -220,6 +221,8 @@ class ProfileSums:
         self._spread = np.repeat(positions, [c for _, c in flat])
         ends = list(accumulate((sum(c for _, c in ms) for ms in multisets), initial=0))
         self._spans = list(zip(ends, ends[1:]))
+        self._pm: dict[float, np.ndarray] = {}
+        self._mso: dict[float, np.ndarray] = {}
 
     def spread(self, terms: Sequence[float]) -> np.ndarray:
         """Per-item terms (indexed like `items`) repeated by count, key after key."""
@@ -231,6 +234,18 @@ class ProfileSums:
 
     def sums(self, terms: Sequence[float]) -> np.ndarray:
         return self.fsums(self.spread(terms).tolist())
+
+    def power_means(self, a: Alpha) -> np.ndarray:
+        """PM_a of each distinct pair, indexed like `items`."""
+        if a not in self._pm:
+            self._pm[a] = power_mean_grid(self.items, [a])[:, 0]
+        return self._pm[a]
+
+    def mso(self, a: Alpha) -> np.ndarray:
+        """Each key's mSO_a, `mean_sombor`'s value bit for bit."""
+        if a not in self._mso:
+            self._mso[a] = self.sums(self.power_means(a))
+        return self._mso[a]
 
     def counts(self) -> np.ndarray:
         """Each key's count of each item (indexed like `items`), as floats."""

@@ -9,8 +9,9 @@ the refinement and every fit, each property taking its records' rows.  The
 scan's curve is one r array over the grid, Pearson's r of every matrix
 column at once; it agrees with per-point fits to matmul rounding (nan where
 the records share one mSO).  Refinement and the candidates are ranked by
-|r| alone, from mSO summed over each record's degree pairs (bit for bit
-mean_sombor), and only the winner is fitted, by `qspr_at_alpha`.  For
+|r| alone, from the table's mSO (`ProfileSums.mso`, once per exponent, bit
+for bit mean_sombor), and only the winner is fitted, by `qspr_at_alpha`.
+A property whose squared deviations leave the float range is an error.  For
 each reported exponent the pipeline gives Pearson's r, the slope/intercept,
 the standard error of estimate, the F statistic ``r^2 (n-2) / (1-r^2)`` and
 its upper-tail significance under F(1, n-2).
@@ -49,7 +50,6 @@ from .indices import (
     ProfileSums,
     ZERO_LIMIT,
     descriptor_matrix,
-    power_mean,
 )
 
 _BETA_TOL = 1e-12
@@ -160,7 +160,9 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, ...]:
     sxy = math.fsum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
     if sxx <= 0.0:
         raise DegeneratePredictorError("predictor column is constant")
-    r = 0.0 if syy <= 0.0 else max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    p = sxx * syy  # sqrt(sxx syy), factored where the product leaves the float range
+    root = math.sqrt(p) if 0.0 < p < math.inf else math.sqrt(sxx) * math.sqrt(syy)
+    r = 0.0 if syy <= 0.0 else max(-1.0, min(1.0, sxy / root))
     return r, mx, my, sxx, syy, sxy
 
 
@@ -221,6 +223,20 @@ class QsprDataset:
         if not self.is_usable(prop):
             raise ValueError(f"property {prop!r} is missing or has fewer than 3 values")
         return [i for i, rec in enumerate(self.records) if prop in rec.properties]
+
+    def values(self, prop: str) -> list[float]:
+        """A usable property's values in row order.  A ValueError names the
+        property where the fsum of their squared deviations overflows or, for
+        values that differ, falls below the normal floats: r would be lost."""
+        y = [self.records[i].properties[prop] for i in self.rows(prop)]
+        try:
+            my = math.fsum(y) / len(y)
+            fits = np.finfo(float).tiny <= math.fsum((v - my) ** 2 for v in y) < math.inf
+        except OverflowError:
+            fits = False
+        if not (fits or min(y) == max(y)):
+            raise ValueError(f"property {prop!r}: its squared deviations leave the float range")
+        return y
 
     def column(self, prop: str) -> list[QsprRecord]:
         return [self.records[i] for i in self.rows(prop)]
@@ -312,17 +328,10 @@ class RegressionReport:
     n: int
 
 
-def _mso(ds: QsprDataset, rows: list[int], a: Alpha) -> list[float]:
-    """The mSO at `a` of the records at `rows`: the kernel once per distinct
-    degree pair of the dataset, then one fsum per record, so mean_sombor's
-    value bit for bit (a record's fsum reads none of the other records)."""
-    return ds.profiles.sums([power_mean(x, y, a) for x, y in ds.profiles.items])[rows].tolist()
-
-
 def qspr_at_alpha(ds: QsprDataset, prop: str, a: Alpha) -> RegressionReport:
     """Fit the linear model of one property against mSO at one exponent."""
     rows = ds.rows(prop)
-    fit = fit_linear(_mso(ds, rows, a), [ds.records[i].properties[prop] for i in rows])
+    fit = fit_linear(ds.profiles.mso(a)[rows].tolist(), ds.values(prop))
     return RegressionReport(property=prop, alpha=a, n=len(rows), **fit._asdict())
 
 
@@ -407,8 +416,10 @@ def _pearson_columns(x: np.ndarray, y: Sequence[float]) -> np.ndarray:
     if yv.min() == yv.max():
         return np.where(constant, np.nan, 0.0)
     xc, yc = x - x.mean(axis=0), yv - yv.mean()
-    with np.errstate(invalid="ignore"):  # 0/0 in a constant column
-        r = (yc @ xc) / np.sqrt((xc * xc).sum(axis=0) * (yc @ yc))
+    sxx, syy = (xc * xc).sum(axis=0), yc @ yc
+    with np.errstate(invalid="ignore", over="ignore"):  # 0/0 in a constant column
+        p = sxx * syy  # factored where it leaves the float range, as in _pearson
+        r = (yc @ xc) / np.where((0.0 < p) & (p < np.inf), np.sqrt(p), np.sqrt(sxx) * np.sqrt(syy))
     return np.where(constant, np.nan, np.clip(r, -1.0, 1.0))
 
 
@@ -428,7 +439,7 @@ def scan_properties(
     Returns the grid's points, and per property the report of the winner,
     the one exponent fitted, with its r array over the points.
     """
-    rows = [ds.rows(p) for p in props]
+    rows, ys = [ds.rows(p) for p in props], [ds.values(p) for p in props]
     grid = grid or AlphaGrid()
     points = grid.points()
     alphas = np.array(points, dtype=float)
@@ -439,8 +450,7 @@ def scan_properties(
     if (cur < prev - 1e-9 * (1.0 + np.abs(prev))).any():
         raise RuntimeError("descriptor vectors are not monotone in alpha")
     scans = []
-    for prop, prop_rows in zip(props, rows):
-        y = [ds.records[i].properties[prop] for i in prop_rows]
+    for prop, prop_rows, y in zip(props, rows, ys):
         r = _pearson_columns(x_all[prop_rows], y)
         best = points[_best_finite_point(alphas, finite, r)]
         abs_r = partial(_abs_r, ds, prop_rows, y)
@@ -471,7 +481,7 @@ def _abs_r(ds: QsprDataset, rows: list[int], y: Sequence[float], a: Alpha) -> fl
     |qspr_at_alpha(...).r|, without the F test; -inf, below every |r|, where
     the records share one mSO and there is no r."""
     try:
-        return abs(_pearson(_mso(ds, rows, a), y)[0])
+        return abs(_pearson(ds.profiles.mso(a)[rows].tolist(), y)[0])
     except DegeneratePredictorError:
         return -math.inf
 

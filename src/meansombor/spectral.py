@@ -5,10 +5,11 @@ The matrix carries the per-edge power-mean value on the adjacency support
 and zeros elsewhere.  Because it is symmetric with zero diagonal, the trace
 of its square equals twice the sum of the squared edge entries; combining
 that with the variance of the edge-term sequence recovers the index itself.
-:func:`variance_columns` takes the variance and that trace from one
-power-mean evaluation per distinct degree pair, for many profile keys at
-once (the verification sweep's rows) or, through :func:`variance_identity`,
-for one graph; the dense matrix serves the ``matrix`` command and the tests'
+:func:`variance_columns` takes the variance and that trace from a profile
+table's power means and mSO (``ProfileSums.power_means``/``mso``, one
+evaluation per distinct degree pair), for many profile keys at once (the
+verification sweep's rows) or, through :func:`variance_identity`, for one
+graph; the dense matrix serves the ``matrix`` command and the tests'
 reference route:
 
     mSO = sqrt( (m/2) * tr(M^2) - m^2 * sigma^2 )
@@ -28,7 +29,7 @@ from typing import IO
 import numpy as np
 
 from .graphs import Graph
-from .indices import Alpha, ProfileSums, edge_terms, power_mean_grid
+from .indices import Alpha, ProfileSums, edge_terms
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,12 @@ def trace_of_square(mat: np.ndarray) -> float:
     return float(np.sum(mat * mat))
 
 
-def variance_columns(
-    edges: ProfileSums, m: np.ndarray, pm: np.ndarray, mso: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The edge-term variance and the radicand (m/2) tr(M^2) - m^2 sigma^2 of
-    each key of `edges`, with `m` edges and index `mso`, from its per-pair
-    power means `pm` (indexed like `edges.items`), with tr(M^2) = 2 * sum of
-    PM^2.  Each sum is one fsum over the key's edges, the value `pair_sum`
-    gives."""
+def variance_columns(edges: ProfileSums, m: np.ndarray, a: Alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The edge-term variance and the radicand (m/2) tr(M^2) - m^2 sigma^2 at
+    `a` of each key of `edges`, with `m` edges, from the table's per-pair
+    power means and mSO, with tr(M^2) = 2 * sum of PM^2.  Each sum is one
+    fsum over the key's edges, the value `pair_sum` gives."""
+    pm, mso = edges.power_means(a), edges.mso(a)
     deviations = (edges.spread(pm) - np.repeat(mso / m, m)).tolist()
     sigma2 = edges.fsums([d**2 for d in deviations]) / m
     tr = 2.0 * edges.sums([v**2 for v in pm.tolist()])
@@ -87,10 +86,9 @@ def variance_identity(g: Graph, a: Alpha) -> tuple[EdgeTermStats, float, float]:
     if m == 0:
         raise ValueError("edge statistics are undefined for an edgeless graph")
     edges = ProfileSums([g.degree_pairs])
-    pm = power_mean_grid(edges.items, [a])[:, 0]
-    mso = edges.sums(pm)
-    sigma2, radicand = (c.item() for c in variance_columns(edges, np.array([m]), pm, mso))
-    return EdgeTermStats(m=m, mean=mso.item() / m, sigma2=sigma2), mso.item(), radicand
+    sigma2, radicand = (c.item() for c in variance_columns(edges, np.array([m]), a))
+    mso = edges.mso(a).item()
+    return EdgeTermStats(m=m, mean=mso / m, sigma2=sigma2), mso, radicand
 
 
 def edge_term_stats(g: Graph, a: Alpha) -> EdgeTermStats:

@@ -380,7 +380,7 @@ def test_verdict_rule_at_its_boundaries():
     table = VerificationTable(
         tuple((r.bound_id, r.alpha) for r in rows), column("lhs"), column("rhs"),
         column("equality_predicted"), column("equality_applicable"),
-        column("strict_expected"), [("key",)], [("g", 0)],
+        column("strict_expected"), [("g", 0)],
     )
     assert list(table) == rows
     v = table.verdict
@@ -549,7 +549,7 @@ def test_run_verification_reuses_rows_per_profile_key():
 
     table = run_verification(trees, random_count=0)
     keys = {(n.graph.degree_pairs, n.graph.vertex_count, is_connected(n.graph)) for n in trees}
-    assert len(table.batteries) == len(keys) < len(trees)
+    assert table.lhs.shape[0] == len(keys) < len(trees)
 
 
 def test_run_verification_small_corpus_passes():
@@ -604,8 +604,7 @@ def _hand_built_table(labels, lhs, rhs, graphs):
     # a table over len(lhs) batteries whose rows predict no equality
     lhs, rhs = np.array(lhs, dtype=float), np.array(rhs, dtype=float)
     no = np.zeros(lhs.shape, dtype=bool)
-    keys = [(b,) for b in range(len(lhs))]
-    return VerificationTable(tuple(labels), lhs, rhs, no, ~no, no, keys, graphs)
+    return VerificationTable(tuple(labels), lhs, rhs, no, ~no, no, graphs)
 
 
 def test_write_reports_csv_table_matches_row_by_row_writer():
@@ -639,7 +638,7 @@ def test_write_reports_csv_table_matches_row_by_row_writer():
             head, rest = first_use[:bounds._CELL_BLOCK], first_use[bounds._CELL_BLOCK:]
             assert rest and set(table.lhs[head].ravel()) & set(table.lhs[rest].ravel())
     # the quoted ids share two batteries, so most are written from the cache
-    assert len(table.batteries) == 2
+    assert table.lhs.shape[0] == 2
     assert '\nmonotonicity,"K1,3",' in from_table.getvalue()
 
     # -0.0 and 0.0 in one column keep their own texts, and labels may hold the

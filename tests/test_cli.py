@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,57 @@ def test_scan_rejects_non_finite_cell(capsys, tmp_path):
     assert "row 19: non-finite cell 'nan' for BP" in err
 
 
+def _scaled_octane_csv(path, scale):
+    """P = (i + 1) * scale on the i-th octane skeleton."""
+    path.write_text("name,P\n" + "".join(
+        f'"{s.name}",{(i + 1) * scale!r}\n' for i, s in enumerate(enumerate_octane_skeletons())
+    ))
+    return path
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e-160, 1e-170])
+def test_qspr_and_scan_name_a_property_whose_squared_deviations_leave_the_float_range(
+    capsys, tmp_path, scale
+):
+    # 1e153: the deviations' fsum overflowed in a traceback, after numpy's overflow
+    # warning in the scan; 1e-160: it was subnormal, and r lost digits to it;
+    # 1e-170: it rounded to 0, so qspr reported r = 0
+    table = _scaled_octane_csv(tmp_path / "props.csv", scale)
+    out = tmp_path / "out"
+    for argv in (
+        ("qspr", "--alpha", "1", "--out", str(out / "qspr.csv")),
+        ("scan", "--alpha-range", "-1:1:0.5", "--curve-out", str(out / "curves"),
+         "--out", str(out / "scan.csv")),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, argv[0], "--properties", str(table), *argv[1:])
+        assert code == 1 and stdout == ""
+        assert err == "error: property 'P': its squared deviations leave the float range\n"
+        assert not out.exists()
+
+
+def test_qspr_and_scan_fit_huge_property_values_as_their_scaled_copy(capsys, tmp_path):
+    # at 2^507 the deviations' sum of squares is finite but its product with the
+    # predictor's overflows: qspr read r = 0 and the scan warned of it
+    args = ("--alpha-range", "-2:2:0.5", "--format", "json")
+    reports = []
+    for scale in (1.0, 2.0**507):
+        table = _scaled_octane_csv(tmp_path / f"props-{scale!r}.csv", scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, qspr_out, _ = run(capsys, "qspr", "--properties", str(table), "--alpha", "1",
+                                    "--format", "json")
+            assert code == 0
+            code, scan_out, _ = run(capsys, "scan", "--properties", str(table), *args)
+            assert code == 0
+        reports.append([json.loads(qspr_out)[0], json.loads(scan_out)[0]])
+    for plain, huge in zip(*reports):
+        assert huge["alpha"] == plain["alpha"]
+        for stat, power in (("r", 0), ("c1", 1), ("c2", 1), ("se", 1), ("f", 0)):
+            assert huge[stat] == pytest.approx(plain[stat] * 2.0 ** (507 * power), rel=1e-14)
+
+
 @pytest.fixture
 def template_csv(tmp_path):
     """The unfilled template that scripts/fetch_octane_properties.py writes."""
@@ -397,7 +449,7 @@ def _fake_table(labels, lhs, rhs, graphs):
     lhs, rhs = np.array(lhs), np.array(rhs)
     return VerificationTable(
         labels, lhs, rhs, np.zeros(lhs.shape, bool), np.ones(lhs.shape, bool),
-        np.zeros(lhs.shape, bool), [(f"k{b}",) for b in range(len(lhs))], graphs,
+        np.zeros(lhs.shape, bool), graphs,
     )
 
 

@@ -143,6 +143,9 @@ def test_profile_sums_equal_pair_sum_per_graph(graphs, a):
     for term in (lambda x, y: power_mean(x, y, a), lambda x, y: x * y / (x + y)):
         sums = profiles.sums([term(x, y) for x, y in profiles.items])
         assert sums.tolist() == [pair_sum(g, term) for g in graphs]
+    want = [mean_sombor(g, a).hex() for g in graphs]
+    for _ in range(2):  # evaluated, then read back from the table's memo
+        assert [v.hex() for v in profiles.mso(a).tolist()] == want
 
 
 @given(st.lists(edge_sets(), max_size=6))

@@ -11,6 +11,8 @@ import json
 import math
 import random
 import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meansombor import qspr
+from meansombor import indices, qspr
 from meansombor.cli import main
 from meansombor.graphs import NamedGraph, complete_graph, enumerate_octane_skeletons
 from meansombor.indices import (
@@ -505,6 +507,30 @@ def test_scan_command_builds_grid_and_matrix_once(capsys, monkeypatch, tmp_path)
     assert "missing or has fewer than 3 values" in capsys.readouterr().err
 
 
+def test_default_scan_evaluates_each_exponent_once(monkeypatch, tmp_path):
+    # the benchmark's seeded table: 11 properties, each refined by golden section
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import make_properties_csv
+
+    table = tmp_path / "props.csv"
+    table.write_text(make_properties_csv(SKELETONS, 20240803)[0], encoding="utf-8")
+    pairs = len(load_dataset(SKELETONS, table.read_text()).profiles.items)
+    rows, real_row = [], indices._power_mean_row
+
+    def counted_row(x, y, alphas):
+        rows.append(list(alphas))
+        return real_row(x, y, rows[-1])
+
+    monkeypatch.setattr(indices, "_power_mean_row", counted_row)
+    assert main(["scan", "--properties", str(table), "--out", str(tmp_path / "scan.csv")]) == 0
+    grid_rows = [r for r in rows if len(r) > 1]
+    exponents = Counter(r[0] for r in rows if len(r) == 1)
+    # one row per pair for the grid, then each exponent off it once per pair
+    assert len(grid_rows) == pairs and len(grid_rows[0]) == len(AlphaGrid().points())
+    assert set(exponents.values()) == {pairs}
+    assert len(rows) == pairs * (1 + len(exponents))
+
+
 def _min_best_finite(curve):
     """The best finite grid point as a min over the curve: the rule the
     lexsort pick must keep."""
@@ -585,7 +611,7 @@ def test_profile_mso_is_mean_sombor_bit_for_bit():
         y = [rec.properties[prop] for rec in recs]
         for a in exponents:
             x = [mean_sombor(rec.graph, a) for rec in recs]
-            assert qspr._mso(ds, rows, a) == x, (prop, a)
+            assert ds.profiles.mso(a)[rows].tolist() == x, (prop, a)
             assert qspr._abs_r(ds, rows, y, a) == abs(fit_linear(x, y).r), (prop, a)
 
 
@@ -603,7 +629,7 @@ def test_qspr_at_alpha_through_the_dataset_table_matches_per_column_tables():
         column = ProfileSums([rec.graph.degree_pairs for rec in recs])  # one table per column
         y = [rec.properties[prop] for rec in recs]
         for a in exponents:
-            x = column.sums([qspr.power_mean(u, v, a) for u, v in column.items]).tolist()
+            x = column.mso(a).tolist()
             want = qspr.RegressionReport(prop, a, n=len(x), **fit_linear(x, y)._asdict())
             assert _report_bits(qspr_at_alpha(ds, prop, a)) == _report_bits(want), (prop, a)
 
