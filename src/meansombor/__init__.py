@@ -11,7 +11,6 @@ from .graphs import (
     Graph,
     GraphParseError,
     NamedGraph,
-    RegularityTag,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -24,7 +23,6 @@ from .graphs import (
     parse_graph,
     path_graph,
     random_connected_graphs,
-    regularity_class,
     star_graph,
     to_edge_list_text,
 )

@@ -366,8 +366,8 @@ class VerificationTable:
     key (degree pairs, vertex count, connected) in corpus order: row j is the
     check `labels[j]` (bound_id, alpha) with lhs[b, j], rhs[b, j] and the
     equality flags predicted, applicable and strict at [b, j].  `graphs`
-    lists every (graph_id, battery) in corpus order.  Iterating the table
-    builds each graph's `BoundReport` rows under its own graph_id.
+    lists every (graph_id, battery) in corpus order; graph g's rows are its
+    battery's, under its own graph_id.
     """
 
     labels: tuple[tuple[str, Alpha | None], ...]
@@ -386,32 +386,16 @@ class VerificationTable:
     def __len__(self) -> int:
         return len(self.graphs) * len(self.labels)
 
-    def _battery(self, b: int, graph_id: str) -> Iterator[BoundReport]:
-        columns = (self.lhs, self.rhs, self.predicted, self.applicable, self.strict)
-        for (bound_id, alpha), *values in zip(self.labels, *(c[b].tolist() for c in columns)):
-            yield BoundReport(bound_id, graph_id, alpha, *values)
-
-    def __iter__(self) -> Iterator[BoundReport]:
-        for graph_id, b in self.graphs:
-            yield from self._battery(b, graph_id)
-
-    def failures(self) -> tuple[int, BoundReport | None]:
-        """The number of rows that are not ok, each battery's counted once per
-        graph with its key, and the first of them in row order with the
-        smallest slack, under the first graph with its key (None if all ok)."""
-        first: dict[int, str] = {}
-        for graph_id, b in self.graphs:
-            first.setdefault(b, graph_id)
-        order = list(first)
-        bad = ~self.verdict.ok[order]
+    def failures(self) -> tuple[int, tuple[str, str, float] | None]:
+        """The number of rows that are not ok, each graph's counted, and the
+        (bound_id, graph_id, slack) of the first of them in corpus-then-row
+        order with the smallest slack (None if all ok)."""
+        rows = np.array([b for _, b in self.graphs], dtype=np.intp)
+        bad, slack = ~self.verdict.ok[rows], self.verdict.slack[rows]
         if not bad.any():
             return 0, None
-        uses = np.bincount(np.array([b for _, b in self.graphs], dtype=np.intp))
-        count = int(uses[order] @ bad.sum(axis=1))
-        candidates = np.flatnonzero(bad)
-        worst = candidates[np.argmin(self.verdict.slack[order].ravel()[candidates])]
-        i, j = divmod(int(worst), bad.shape[1])
-        return count, list(self._battery(order[i], first[order[i]]))[j]
+        i, j = divmod(int(np.flatnonzero(bad)[np.argmin(slack[bad])]), bad.shape[1])
+        return int(bad.sum()), (self.labels[j][0], self.graphs[i][0], slack[i, j].item())
 
 
 def _view(family, g: Graph, graph_id: str, *exponents) -> list[BoundReport]:

@@ -273,9 +273,9 @@ def verify(random_count: int, seed: int, out: str, timings: bool) -> None:
     failures, worst = table.failures()
     click.echo(f"checked {len(table)} bound instances, {failures} failures")
     if worst is not None:
+        bound_id, graph_id, slack = worst
         raise VerificationFailure(
-            f"{failures} bound checks failed; worst: {worst.bound_id} on "
-            f"{worst.graph_id} (slack {worst.slack:.3e})"
+            f"{failures} bound checks failed; worst: {bound_id} on {graph_id} (slack {slack:.3e})"
         )
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -95,30 +94,9 @@ class Graph:
         return len(self.edges)
 
 
-class RegularityTag(Enum):
-    REGULAR = "regular"
-    BIREGULAR = "biregular"
-    NEITHER = "neither"
-
-
 def degree_extremes(g: Graph) -> tuple[int, int]:
     """Minimum and maximum vertex degree, isolated vertices included."""
     return min(g.degrees), max(g.degrees)
-
-
-def regularity_class(g: Graph) -> RegularityTag:
-    """Classify a graph's degree structure.  Regular: one degree value
-    everywhere.  Biregular: exactly two distinct degrees a != b, and every
-    edge joins an a-degree vertex to a b-degree vertex.  Anything else
-    (including the empty edge set) is Neither."""
-    if not g.edges:
-        return RegularityTag.NEITHER
-    distinct = tuple(sorted(set(g.degrees)))
-    if len(distinct) == 1:
-        return RegularityTag.REGULAR
-    if len(distinct) == 2 and all(p == distinct for p, _ in g.degree_pairs):
-        return RegularityTag.BIREGULAR
-    return RegularityTag.NEITHER
 
 
 def is_connected(g: Graph) -> bool:
@@ -231,28 +209,20 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return Graph.from_edges(off + g2.vertex_count, edges)
 
 
-def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
-    """One connected Erdos-Renyi style graph; resamples until connected."""
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    while True:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        if not pairs:
-            continue
-        g = Graph.from_edges(n, pairs)
-        if is_connected(g):
-            return g
-
-
 def random_connected_graphs(count: int, seed: int) -> list["NamedGraph"]:
-    """Seeded corpus of random connected graphs on 4..12 vertices."""
+    """Seeded corpus of random connected graphs on 4..12 vertices: each one
+    Erdos-Renyi style, resampled until connected."""
     rng = random.Random(seed)
     out = []
-    for i in range(count):
+    for k in range(count):
         n = rng.randint(4, 12)
         p = rng.uniform(0.25, 0.85)
-        g = random_connected_graph(n, p, rng)
-        out.append(NamedGraph(f"random_{seed}_{i:04d}", g))
+        while True:  # an edgeless draw is disconnected too, as n >= 4
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            g = Graph.from_edges(n, pairs)
+            if is_connected(g):
+                break
+        out.append(NamedGraph(f"random_{seed}_{k:04d}", g))
     return out
 
 

@@ -264,13 +264,6 @@ def mean_sombor(g: Graph, a: Alpha) -> float:
     return pair_sum(g, lambda x, y: power_mean(x, y, a))
 
 
-def edge_terms(g: Graph, a: Alpha) -> list[float]:
-    """The per-edge power-mean terms, in the deterministic edge order
-    (the placement the matrix needs; edge sums go through pair_sum)."""
-    deg = g.degrees
-    return [power_mean(deg[u], deg[v], a) for u, v in g.edge_list]
-
-
 # ---------------------------------------------------------------------------
 # Classical indices (edge sums over the same degree-pair profile, but with
 # their own closed-form terms, not routed through the power mean -- they

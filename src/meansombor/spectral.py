@@ -29,7 +29,7 @@ from typing import IO
 import numpy as np
 
 from .graphs import Graph
-from .indices import Alpha, ProfileSums, edge_terms
+from .indices import Alpha, ProfileSums
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,23 @@ class IdentityViolation(RuntimeError):
 
 
 def build_matrix(g: Graph, a: Alpha) -> np.ndarray:
-    """Dense symmetric matrix with PM_a(d_u, d_v) on edges, 0 elsewhere.
+    """Dense symmetric matrix with PM_a(d_u, d_v) on edges, 0 elsewhere: the
+    profile table's power means (one evaluation per distinct degree pair),
+    each placed at the edges with its pair.
 
     The support pattern equals the adjacency pattern exactly: power-mean
     terms of positive degrees are strictly positive.
     """
-    n = g.vertex_count
+    n, deg = g.vertex_count, np.array(g.degrees, dtype=np.int64)
+    u, v = np.array(g.edge_list, dtype=np.intp).reshape(-1, 2).T
+    lo, hi = np.minimum(deg[u], deg[v]), np.maximum(deg[u], deg[v])
+    edges = ProfileSums([g.degree_pairs])
+    # pairs sort as their codes lo * n + hi do, degrees being below n
+    codes = np.array([x * n + y for x, y in edges.items], dtype=np.int64)
+    terms = edges.power_means(a)[np.searchsorted(codes, lo * n + hi)]
     mat = np.zeros((n, n), dtype=float)
-    for (u, v), t in zip(g.edge_list, edge_terms(g, a)):
-        mat[u, v] = t
-        mat[v, u] = t
+    mat[u, v] = terms
+    mat[v, u] = terms
     return mat
 
 

@@ -5,10 +5,13 @@ graph's own index functions, the reference the battery's key columns
 functions here are the independent per-graph formulas.  The variance-identity
 rows call `spectral.variance_identity`, which is the sweep's column form on
 one key; `test_variance_identity_matches_separate_edge_sums` checks that
-against separate per-graph edge sums.
+against separate per-graph edge sums.  `regularity_class` reads the degree
+structure off the graph, and `table_rows` gives a sweep table's rows as
+reports, graph by graph.
 """
 
 import math
+from enum import Enum
 
 from meansombor.bounds import (
     JENSEN_ALPHAS,
@@ -19,16 +22,10 @@ from meansombor.bounds import (
     SANDWICH_ALPHAS,
     VARIANCE_ALPHAS,
     BoundReport,
+    VerificationTable,
     kalpha_constant,
 )
-from meansombor.graphs import (
-    Graph,
-    NamedGraph,
-    RegularityTag,
-    degree_extremes,
-    is_connected,
-    regularity_class,
-)
+from meansombor.graphs import Graph, NamedGraph, degree_extremes, is_connected
 from meansombor.indices import (
     SPECIAL_VALUES,
     Alpha,
@@ -41,6 +38,27 @@ from meansombor.indices import (
     variable_first_zagreb,
 )
 from meansombor.spectral import variance_identity
+
+
+class RegularityTag(Enum):
+    REGULAR = "regular"
+    BIREGULAR = "biregular"
+    NEITHER = "neither"
+
+
+def regularity_class(g: Graph) -> RegularityTag:
+    """Classify a graph's degree structure.  Regular: one degree value
+    everywhere.  Biregular: exactly two distinct degrees a != b, and every
+    edge joins an a-degree vertex to a b-degree vertex.  Anything else
+    (including the empty edge set) is Neither."""
+    if not g.edges:
+        return RegularityTag.NEITHER
+    distinct = tuple(sorted(set(g.degrees)))
+    if len(distinct) == 1:
+        return RegularityTag.REGULAR
+    if len(distinct) == 2 and all(p == distinct for p, _ in g.degree_pairs):
+        return RegularityTag.BIREGULAR
+    return RegularityTag.NEITHER
 
 
 def all_components_regular(g: Graph) -> bool:
@@ -287,3 +305,14 @@ def reference_verdict(lhs, rhs, predicted, applicable=True, strict=False):
         not strict or slack > 1e-12 * scale
     )
     return slack, tol, passed, observed, ok
+
+
+def table_rows(table: VerificationTable) -> list[BoundReport]:
+    """The rows of a sweep table as reports: each graph's battery, in corpus
+    order, under its own graph_id."""
+    columns = (table.lhs, table.rhs, table.predicted, table.applicable, table.strict)
+    return [
+        BoundReport(bound_id, graph_id, alpha, *values)
+        for graph_id, b in table.graphs
+        for (bound_id, alpha), *values in zip(table.labels, *(c[b].tolist() for c in columns))
+    ]

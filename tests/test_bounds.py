@@ -8,6 +8,7 @@ import math
 import random
 import warnings
 
+import networkx as nx
 import numpy as np
 import pytest
 import scalar_battery as scalar
@@ -382,7 +383,7 @@ def test_verdict_rule_at_its_boundaries():
         column("equality_predicted"), column("equality_applicable"),
         column("strict_expected"), [("g", 0)],
     )
-    assert list(table) == rows
+    assert scalar.table_rows(table) == rows
     v = table.verdict
     for i, name in enumerate(("slack", "tol", "passed", "equality_observed", "ok")):
         assert getattr(v, name)[0].tolist() == [x[i] for x in reference], name
@@ -520,7 +521,7 @@ def test_run_verification_reuses_rows_per_profile_key():
     assert c6.degree_pairs == two_c3.degree_pairs  # same profile and n, not connectivity
     dense = [random_connected_graphs(300, seed) for seed in (20240803, 97)]
     for gs in (default_corpus(), trees, collisions, *dense):
-        assert _bits(run_verification(gs, random_count=0)) == _bits(
+        assert _bits(scalar.table_rows(run_verification(gs, random_count=0))) == _bits(
             r for n in gs for r in scalar.checks_for_graph(n)
         )
 
@@ -552,12 +553,62 @@ def test_run_verification_reuses_rows_per_profile_key():
     assert table.lhs.shape[0] == len(keys) < len(trees)
 
 
+def _atlas_clauses(h):
+    # the equality clauses the families read, decided on the networkx graph
+    # alone: every edge joins equal degrees; one degree; one degree, or two
+    # with every edge joining both; connected
+    deg = dict(h.degree())
+    balanced = all(deg[u] == deg[v] for u, v in h.edges())
+    values = set(deg.values())
+    regular = len(values) == 1
+    biregular = len(values) == 2 and all(deg[u] != deg[v] for u, v in h.edges())
+    return balanced, regular, regular or biregular, nx.is_connected(h)
+
+
+def _expected_flags(bound_id, a, clauses):
+    # (predicted, applicable) of a row from the clauses, for the families whose
+    # equality case is one of them; None for ka-powersum, which reads its terms
+    balanced, regular, regular_or_biregular, connected = clauses
+    if bound_id == "jensen-m1":
+        return regular_or_biregular, connected
+    if bound_id == "kalpha":
+        return regular, True
+    if bound_id == "so-sandwich-upper":  # below 2 the upper link is the equality one
+        return balanced and a < 2.0, True
+    if bound_id == "so-sandwich-lower":  # above 2 the lower link is
+        return balanced and a > 2.0, True
+    if bound_id in ("so-sandwich-eq2", "variance-identity"):
+        return True, True
+    if bound_id.startswith("ka-powersum"):
+        return None
+    return balanced, True  # monotonicity, the chain links and mso2-m1-m2
+
+
+def test_every_atlas_graph_on_at_most_7_vertices_passes_with_its_equality_cases():
+    # every graph on 2..7 vertices without an isolated vertex, 48 of them
+    # disconnected, swept as one corpus: every row is ok, and each family's
+    # predicted and applicable flags are the clauses networkx decides
+    atlas = [h for h in nx.graph_atlas_g() if 2 <= len(h) <= 7 and min(dict(h.degree()).values()) > 0]
+    assert len(atlas) == 1043 and sum(not nx.is_connected(h) for h in atlas) == 48
+    corpus = [NamedGraph(f"atlas{i}", Graph.from_edges(len(h), h.edges())) for i, h in enumerate(atlas)]
+    table = run_verification(corpus, random_count=0)
+    assert table.lhs.shape[0] == 775
+    assert table.verdict.ok.all() and table.failures() == (0, None)
+    for h, (_, b) in zip(atlas, table.graphs):
+        clauses = _atlas_clauses(h)
+        for j, (bound_id, a) in enumerate(table.labels):
+            want = _expected_flags(bound_id, a, clauses)
+            if want is not None:
+                got = (table.predicted[b, j], table.applicable[b, j])
+                assert got == want, (bound_id, a, list(h.edges()))
+
+
 def test_run_verification_small_corpus_passes():
     corpus = default_corpus()[:15]
-    reports = run_verification(corpus, random_count=20, seed=3)
+    reports = scalar.table_rows(run_verification(corpus, random_count=20, seed=3))
     assert reports and all(r.ok for r in reports)
     # determinism
-    again = run_verification(corpus, random_count=20, seed=3)
+    again = scalar.table_rows(run_verification(corpus, random_count=20, seed=3))
     assert [(r.bound_id, r.graph_id, r.lhs, r.rhs) for r in reports] == [
         (r.bound_id, r.graph_id, r.lhs, r.rhs) for r in again
     ]
@@ -568,9 +619,10 @@ def test_run_verification_sweeps_the_corpus_then_the_requested_random_graphs():
     table = run_verification(corpus)
     assert len(table) == 61 * len(corpus)
     assert [graph_id for graph_id, _ in table.graphs] == [n.name for n in corpus]
-    assert not any(r.graph_id.startswith("random_") for r in table)
+    assert not any(r.graph_id.startswith("random_") for r in scalar.table_rows(table))
     seeded = run_verification(corpus, random_count=5, seed=9)
-    assert list(seeded) == list(run_verification(corpus + random_connected_graphs(5, 9)))
+    unseeded = run_verification(corpus + random_connected_graphs(5, 9))
+    assert scalar.table_rows(seeded) == scalar.table_rows(unseeded)
 
 
 def test_write_reports_csv_shape(k13):
@@ -659,7 +711,7 @@ def test_write_reports_csv_table_matches_row_by_row_writer():
     for table in (signed, blocks):
         out = io.StringIO()
         write_reports_csv(table, out)
-        assert out.getvalue() == _csv_writer_reference(list(table))
+        assert out.getvalue() == _csv_writer_reference(scalar.table_rows(table))
         if table is signed:
             assert "\nzero%s,a,,0,-0,-0,0,1,1,0,0\nnul\0label,a,-1," in out.getvalue()
             assert "\nzero%s,b,,-0,0,0,0,1,1,0,0\n" in out.getvalue()

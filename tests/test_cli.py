@@ -11,11 +11,18 @@ import warnings
 from pathlib import Path
 
 import pytest
+import scalar_battery as scalar
 
 import meansombor
 from meansombor.cli import main
-from meansombor.graphs import enumerate_octane_skeletons, parse_graph
-from meansombor.indices import Alpha, mean_sombor
+from meansombor.graphs import (
+    Graph,
+    enumerate_octane_skeletons,
+    parse_graph,
+    star_graph,
+    to_edge_list_text,
+)
+from meansombor.indices import Alpha, mean_sombor, parse_alpha, power_mean
 from meansombor.qspr import AlphaGrid
 from tree_codes import canonical_form
 
@@ -135,6 +142,26 @@ def test_matrix_output(capsys, p3_file, tmp_path):
     assert rows[0][2] == 0.0
     assert "trace_of_square,10" in out
     assert "variance_identity_residual,0" in out
+
+    # the CSV holds each edge's kernel term at (u, v) and (v, u) as '.17g'
+    # text, and 0 elsewhere; an isolated vertex gives a row of zeros
+    graphs = [enumerate_octane_skeletons()[4].graph, star_graph(6)]
+    graphs.append(Graph.from_edges(7, [(5, 1), (1, 3), (3, 5), (3, 0), (2, 6)]))
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(to_edge_list_text(g))
+        deg, n = g.degrees, g.vertex_count
+        for spec in ("0.5", "-3", "0", "inf", "-inf", "1e-300", "37.5"):
+            a = parse_alpha(spec)
+            cells = [["0"] * n for _ in range(n)]
+            for u, v in g.edge_list:
+                cells[u][v] = cells[v][u] = format(power_mean(deg[u], deg[v], a), ".17g")
+            code, out, _ = run(
+                capsys, "matrix", "--graph", str(path), "--alpha", spec, "--out", str(out_path)
+            )
+            assert code == 0
+            assert out_path.read_text() == "".join(",".join(row) + "\n" for row in cells)
+            assert f"\nmean_sombor,{format(mean_sombor(g, a), '.17g')}\n" in out
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +516,7 @@ def test_verify_failures_count_every_graph_sharing_a_key(capsys, tmp_path, monke
          "4 bound checks failed; worst: fake on x (slack -1.000e+00)"),
     ]
     for table, summary, message in cases:
-        failures = [r for r in table if not r.ok]
+        failures = [r for r in scalar.table_rows(table) if not r.ok]
         worst = min(failures, key=lambda r: r.slack)
         assert message == (
             f"{len(failures)} bound checks failed; worst: {worst.bound_id} on "

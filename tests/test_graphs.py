@@ -20,7 +20,6 @@ from meansombor.graphs import (
     OCTANE_NAMES,
     Graph,
     GraphParseError,
-    RegularityTag,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -33,10 +32,10 @@ from meansombor.graphs import (
     parse_graph,
     path_graph,
     random_connected_graphs,
-    regularity_class,
     star_graph,
     to_edge_list_text,
 )
+from scalar_battery import RegularityTag, regularity_class
 from tree_codes import _bfs, adjacency, canonical_form, tree_centroids
 
 

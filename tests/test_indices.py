@@ -15,7 +15,6 @@ import pytest
 from meansombor import bounds
 from meansombor.graphs import (
     Graph,
-    RegularityTag,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -24,7 +23,6 @@ from meansombor.graphs import (
     enumerate_octane_skeletons,
     path_graph,
     random_connected_graphs,
-    regularity_class,
     star_graph,
 )
 from meansombor.indices import (
@@ -53,7 +51,7 @@ from meansombor.indices import (
 from meansombor.qspr import AlphaGrid
 from meansombor.spectral import edge_term_stats
 import scalar_kernel
-from scalar_battery import all_components_regular
+from scalar_battery import RegularityTag, all_components_regular, regularity_class
 
 
 def naive_power_mean(x, y, alpha):

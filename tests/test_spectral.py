@@ -82,6 +82,31 @@ def test_matrix_support_matches_adjacency():
         assert not np.diag(mat).any()
 
 
+def _per_edge_matrix(g, a):
+    # the oracle: each edge's kernel term, evaluated on that edge, at (u, v) and (v, u)
+    mat = np.zeros((g.vertex_count, g.vertex_count))
+    deg = g.degrees
+    for u, v in g.edge_list:
+        mat[u, v] = mat[v, u] = power_mean(deg[u], deg[v], a)
+    return mat
+
+
+def test_build_matrix_is_the_per_edge_kernel_bit_for_bit():
+    # each entry of the profile-table matrix has the bit pattern of the scalar
+    # kernel on its edge's endpoint degrees, in the edge's own order, and every
+    # entry off the support is +0.0; near the 0-limit, at it, at the limit
+    # points, and past |a ln(hi/lo)| = 37, where the kernel switches forms
+    alphas = [Alpha(x) for x in (-3.0, -1.0, -0.3, 0.5, 1.0, 2.0, 3.0, 37.5, 1e-300, -1e-300)]
+    alphas += [ZERO_LIMIT, ALPHA_PLUS_INF, ALPHA_MINUS_INF]
+    graphs = [n.graph for n in default_corpus()] + [Graph(3, frozenset()), star_graph(40)]
+    graphs.append(Graph.from_edges(6, [(4, 1), (1, 5), (5, 0)]))  # isolated vertices; larger degree first
+    for g in graphs:
+        for a in alphas:
+            mat, want = build_matrix(g, a), _per_edge_matrix(g, a)
+            assert mat.dtype == want.dtype and mat.shape == want.shape
+            assert np.array_equal(mat.view(np.uint64), want.view(np.uint64)), (g, a)
+
+
 def test_trace_examples(p3, k3):
     assert trace_of_square(build_matrix(p3, Alpha.finite(2))) == pytest.approx(10.0)
     assert trace_of_square(build_matrix(k3, Alpha.finite(-7))) == pytest.approx(24.0)
