@@ -20,7 +20,6 @@ import click
 
 from .bounds import DEFAULT_RANDOM_SEED, run_verification, write_reports_csv
 from .graphs import (
-    GraphParseError,
     default_corpus,
     enumerate_octane_skeletons,
     parse_graph,
@@ -291,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.exceptions.Abort:
         return 1
-    except (OSError, ValueError, GraphParseError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

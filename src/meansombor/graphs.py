@@ -130,7 +130,6 @@ def parse_graph(text: str) -> Graph:
     are rejected with the offending line number.
     """
     vertex_count: int | None = None
-    pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -163,10 +162,9 @@ def parse_graph(text: str) -> Graph:
         if e in seen:
             raise GraphParseError(f"line {lineno}: duplicate edge ({e[0]},{e[1]})")
         seen.add(e)
-        pairs.append(e)
     if vertex_count is None:
         raise GraphParseError("line 1: empty document, expected vertex count")
-    return Graph(vertex_count, frozenset(pairs))
+    return Graph(vertex_count, frozenset(seen))
 
 
 def to_edge_list_text(g: Graph) -> str:
@@ -205,7 +203,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     off = g1.vertex_count
-    edges = list(g1.edge_list) + [(u + off, v + off) for u, v in g2.edge_list]
+    edges = list(g1.edges) + [(u + off, v + off) for u, v in g2.edges]
     return Graph.from_edges(off + g2.vertex_count, edges)
 
 

@@ -49,21 +49,16 @@ class IdentityViolation(RuntimeError):
 def build_matrix(g: Graph, a: Alpha) -> np.ndarray:
     """Dense symmetric matrix with PM_a(d_u, d_v) on edges, 0 elsewhere: the
     profile table's power means (one evaluation per distinct degree pair),
-    each placed at the edges with its pair.
+    looked up by each edge's degree pair.
 
     The support pattern equals the adjacency pattern exactly: power-mean
     terms of positive degrees are strictly positive.
     """
-    n, deg = g.vertex_count, np.array(g.degrees, dtype=np.int64)
-    u, v = np.array(g.edge_list, dtype=np.intp).reshape(-1, 2).T
-    lo, hi = np.minimum(deg[u], deg[v]), np.maximum(deg[u], deg[v])
-    edges = ProfileSums([g.degree_pairs])
-    # pairs sort as their codes lo * n + hi do, degrees being below n
-    codes = np.array([x * n + y for x, y in edges.items], dtype=np.int64)
-    terms = edges.power_means(a)[np.searchsorted(codes, lo * n + hi)]
-    mat = np.zeros((n, n), dtype=float)
-    mat[u, v] = terms
-    mat[v, u] = terms
+    deg, edges = g.degrees, ProfileSums([g.degree_pairs])
+    term = dict(zip(edges.items, edges.power_means(a).tolist()))
+    mat = np.zeros((g.vertex_count, g.vertex_count), dtype=float)
+    for u, v in g.edges:
+        mat[u, v] = mat[v, u] = term[(deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])]
     return mat
 
 
@@ -113,6 +108,7 @@ def identity_residual(mso: float, radicand: float) -> float:
 
 
 def write_matrix_csv(mat: np.ndarray, stream: IO[str]) -> None:
-    """Write the matrix as CSV, one row per line, full %.17g precision."""
+    """Write the matrix as CSV, one `%.17g` line template filled per row."""
+    line = ",".join(["%.17g"] * mat.shape[1]) + "\n"
     for row in mat:
-        stream.write(",".join(format(x, ".17g") for x in row) + "\n")
+        stream.write(line % tuple(row.tolist()))

@@ -584,15 +584,11 @@ def _expected_flags(bound_id, a, clauses):
     return balanced, True  # monotonicity, the chain links and mso2-m1-m2
 
 
-def test_every_atlas_graph_on_at_most_7_vertices_passes_with_its_equality_cases():
-    # every graph on 2..7 vertices without an isolated vertex, 48 of them
-    # disconnected, swept as one corpus: every row is ok, and each family's
-    # predicted and applicable flags are the clauses networkx decides
-    atlas = [h for h in nx.graph_atlas_g() if 2 <= len(h) <= 7 and min(dict(h.degree()).values()) > 0]
-    assert len(atlas) == 1043 and sum(not nx.is_connected(h) for h in atlas) == 48
+def _sweep_against_the_clauses(atlas):
+    # the networkx graphs swept as one corpus: every row is ok, and each
+    # family's predicted and applicable flags are the clauses networkx decides
     corpus = [NamedGraph(f"atlas{i}", Graph.from_edges(len(h), h.edges())) for i, h in enumerate(atlas)]
     table = run_verification(corpus, random_count=0)
-    assert table.lhs.shape[0] == 775
     assert table.verdict.ok.all() and table.failures() == (0, None)
     for h, (_, b) in zip(atlas, table.graphs):
         clauses = _atlas_clauses(h)
@@ -601,6 +597,40 @@ def test_every_atlas_graph_on_at_most_7_vertices_passes_with_its_equality_cases(
             if want is not None:
                 got = (table.predicted[b, j], table.applicable[b, j])
                 assert got == want, (bound_id, a, list(h.edges()))
+    return table
+
+
+def test_every_atlas_graph_on_at_most_7_vertices_passes_with_its_equality_cases():
+    # every graph on 2..7 vertices without an isolated vertex, 48 of them
+    # disconnected
+    atlas = [h for h in nx.graph_atlas_g() if 2 <= len(h) <= 7 and min(dict(h.degree()).values()) > 0]
+    assert len(atlas) == 1043 and sum(not nx.is_connected(h) for h in atlas) == 48
+    assert _sweep_against_the_clauses(atlas).lhs.shape[0] == 775
+
+
+def test_every_graph_on_8_vertices_passes_with_its_equality_cases():
+    # every graph on 8 vertices is one on 7 (the atlas's 1,044) plus vertex 7
+    # joined to some subset of them; without an isolated vertex, one graph per
+    # sweep key (the sorted degree pairs, connected), each key computed before
+    # any graph is built: vertex 7 connects the graph when it meets every
+    # component
+    seven = [h for h in nx.graph_atlas_g() if len(h) == 7]
+    assert len(seven) == 1044
+    found = {}
+    for h in seven:
+        edges, deg = list(h.edges()), [d for _, d in sorted(h.degree())]
+        component = {v: i for i, c in enumerate(nx.connected_components(h)) for v in c}
+        for mask in range(1, 128):
+            joined = [v for v in range(7) if mask >> v & 1]
+            d = [deg[v] + (mask >> v & 1) for v in range(7)] + [len(joined)]
+            if 0 in d:
+                continue
+            e8 = edges + [(v, 7) for v in joined]
+            pairs = sorted((d[u], d[v]) if d[u] <= d[v] else (d[v], d[u]) for u, v in e8)
+            connected = len({component[v] for v in joined}) == len(set(component.values()))
+            found.setdefault((tuple(pairs), connected), e8)
+    assert len(found) == 4860
+    assert _sweep_against_the_clauses([nx.Graph(e8) for e8 in found.values()]).lhs.shape[0] == 4860
 
 
 def test_run_verification_small_corpus_passes():

@@ -95,7 +95,8 @@ def test_build_matrix_is_the_per_edge_kernel_bit_for_bit():
     # each entry of the profile-table matrix has the bit pattern of the scalar
     # kernel on its edge's endpoint degrees, in the edge's own order, and every
     # entry off the support is +0.0; near the 0-limit, at it, at the limit
-    # points, and past |a ln(hi/lo)| = 37, where the kernel switches forms
+    # points, and past |a ln(hi/lo)| = 37, where the kernel switches forms;
+    # its CSV is the text of each entry formatted on its own
     alphas = [Alpha(x) for x in (-3.0, -1.0, -0.3, 0.5, 1.0, 2.0, 3.0, 37.5, 1e-300, -1e-300)]
     alphas += [ZERO_LIMIT, ALPHA_PLUS_INF, ALPHA_MINUS_INF]
     graphs = [n.graph for n in default_corpus()] + [Graph(3, frozenset()), star_graph(40)]
@@ -105,6 +106,11 @@ def test_build_matrix_is_the_per_edge_kernel_bit_for_bit():
             mat, want = build_matrix(g, a), _per_edge_matrix(g, a)
             assert mat.dtype == want.dtype and mat.shape == want.shape
             assert np.array_equal(mat.view(np.uint64), want.view(np.uint64)), (g, a)
+            buf = io.StringIO()
+            write_matrix_csv(mat, buf)
+            assert buf.getvalue() == "".join(
+                ",".join(format(x, ".17g") for x in row) + "\n" for row in want
+            ), (g, a)
 
 
 def test_trace_examples(p3, k3):
