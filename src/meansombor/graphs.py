@@ -58,8 +58,6 @@ class Graph:
         """Build a graph from unordered vertex pairs, rejecting duplicates."""
         seen: set[tuple[int, int]] = set()
         for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise ValueError(f"duplicate edge ({e[0]},{e[1]})")

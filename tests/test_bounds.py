@@ -188,6 +188,13 @@ def test_kp_constant_rejects_bad_arguments():
         kp_constant(0, 2, 3)
 
 
+def test_kalpha_constant_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="converse-Holder bound needs 0 < alpha < 1"):
+        kalpha_constant(1, 2, 1.0)
+    with pytest.raises(ValueError, match="minimum degree must be at least 1"):
+        kalpha_constant(0, 2, 0.5)
+
+
 def test_kalpha_constant_branches():
     # dual route: explicit branch formulas against the kp_constant form
     for delta, Delta in [(1, 3), (2, 5), (3, 3), (1, 11), (7, 8)]:

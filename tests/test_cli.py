@@ -163,6 +163,16 @@ def test_matrix_output(capsys, p3_file, tmp_path):
             assert out_path.read_text() == "".join(",".join(row) + "\n" for row in cells)
             assert f"\nmean_sombor,{format(mean_sombor(g, a), '.17g')}\n" in out
 
+    # an edgeless graph: a zero matrix and the empty edge sum, no variance lines
+    path = tmp_path / "edgeless.txt"
+    path.write_text("3\n")
+    code, out, _ = run(
+        capsys, "matrix", "--graph", str(path), "--alpha", "2", "--out", str(out_path)
+    )
+    assert code == 0
+    assert out_path.read_text() == "0,0,0\n" * 3
+    assert out.endswith("\ntrace_of_square,0\nmean_sombor,0\n")
+
 
 # ---------------------------------------------------------------------------
 # enumerate
@@ -595,6 +605,16 @@ def test_bad_alpha_range_is_operational_error(capsys, octane_csv, monkeypatch):
         )
         assert code == 1
         assert f"alpha grid {spec}" in err and cause in err
+    # a spec that is not three numbers is rejected as it is parsed
+    for spec, message in [
+        ("1:2", "Invalid value: alpha range must be LO:HI:STEP"),
+        ("a:b:c", "bad alpha range 'a:b:c'"),
+    ]:
+        code, _, err = run(
+            capsys, "scan", "--properties", str(octane_csv), "--alpha-range", spec
+        )
+        assert code == 1
+        assert message in err
 
 
 def test_unknown_subcommand(capsys):

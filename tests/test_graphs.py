@@ -67,6 +67,8 @@ def test_parse_comments_and_blanks():
         ("2\n0 5", "out of range"),
         ("2\n0 x", "integers"),
         ("", "vertex count"),
+        ("x\n", "line 1: expected vertex count, got 'x'"),
+        ("0\n", "line 1: vertex count must be positive"),
         ("3\n0 1 2", "expected 'u v'"),
         # header only: rejected before anything is allocated
         (f"{MAX_VERTICES + 1}\n", f"vertex count {MAX_VERTICES + 1} exceeds the limit"),
@@ -86,6 +88,28 @@ def test_parse_error_line_number_is_physical():
 
 def test_parse_accepts_vertex_count_at_limit():
     assert parse_graph(f"{MAX_VERTICES}\n").vertex_count == MAX_VERTICES
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(0, frozenset()), "graph needs at least one vertex"),
+        (lambda: Graph(3, frozenset({(1, 1)})), "self-loop at vertex 1"),
+        (lambda: Graph(3, frozenset({(2, 1)})), "edge (2,1) out of range or unnormalized"),
+        (lambda: Graph(3, frozenset({(0, 3)})), "edge (0,3) out of range or unnormalized"),
+        # from_edges leaves the self-loop to the constructor's check
+        (lambda: Graph.from_edges(3, [(1, 1)]), "self-loop at vertex 1"),
+        (lambda: Graph.from_edges(3, [(0, 1), (1, 0)]), "duplicate edge (0,1)"),
+    ],
+    ids=[
+        "no-vertex", "self-loop", "reversed", "out-of-range",
+        "from-edges-self-loop", "from-edges-duplicate",
+    ],
+)
+def test_constructors_name_the_broken_rule(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_round_trip_serialization():
@@ -494,6 +518,8 @@ def test_family_shapes():
     assert star_graph(4).degrees == (4, 1, 1, 1, 1)
     assert complete_graph(5).edge_count == 10
     assert complete_bipartite(2, 3).edge_count == 6
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        cycle_graph(2)
 
 
 def test_random_graphs_are_connected_and_reproducible():

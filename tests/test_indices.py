@@ -87,6 +87,11 @@ def test_power_mean_rejects_nonpositive():
         power_mean(2, -1, ZERO_LIMIT)
 
 
+def test_alpha_sombor_rejects_zero_exponent():
+    with pytest.raises(ValueError, match="needs a nonzero exponent"):
+        alpha_sombor(path_graph(3), 0.0)
+
+
 def test_power_mean_matches_naive_formula():
     rng = random.Random(17)
     for _ in range(500):

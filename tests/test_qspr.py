@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from meansombor import indices, qspr
 from meansombor.cli import main
-from meansombor.graphs import NamedGraph, complete_graph, enumerate_octane_skeletons
+from meansombor.graphs import Graph, NamedGraph, complete_graph, enumerate_octane_skeletons
 from meansombor.indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
@@ -83,6 +83,8 @@ def test_betainc_against_scipy():
         )
     assert regularized_incomplete_beta(0.0, 2, 3) == 0.0
     assert regularized_incomplete_beta(1.0, 2, 3) == 1.0
+    with pytest.raises(ValueError, match="beta parameters must be positive"):
+        regularized_incomplete_beta(0.5, 0, 1)
 
 
 def test_f_significance_reference_value():
@@ -111,6 +113,11 @@ def test_f_significance_monotone_in_f():
     assert all(a > b for a, b in zip(values, values[1:]))
     assert f_significance(0.0, 1, 16) == 1.0
     assert f_significance(math.inf, 1, 16) == 0.0
+
+
+def test_f_significance_rejects_non_positive_dof():
+    with pytest.raises(ValueError, match="degrees of freedom must be positive"):
+        f_significance(1.0, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +230,10 @@ def test_load_rejects_rows_longer_than_header():
 
 
 def test_load_rejects_bad_header():
+    with pytest.raises(ValueError, match="properties CSV is empty"):
+        load_dataset(SKELETONS, "")
+    with pytest.raises(ValueError, match="duplicate property column in CSV header"):
+        load_dataset(SKELETONS, "name,A,A\n")
     with pytest.raises(ValueError, match="header"):
         load_dataset(SKELETONS, "molecule,A\nn-octane,1\n")
     for header in ("name,,BP", "name, ,BP"):
@@ -234,6 +245,18 @@ def test_load_rejects_duplicate_graph_names():
     doubled = list(SKELETONS) + [SKELETONS[0]]
     with pytest.raises(ValueError, match="duplicate graph name"):
         load_dataset(doubled, "name,A\n")
+
+
+def test_load_rejects_edgeless_graph():
+    with pytest.raises(ValueError, match="graph 'e' has no edges"):
+        load_dataset([NamedGraph("e", Graph(3, frozenset()))], "name,A\n")
+
+
+def test_load_skips_blank_rows():
+    text = "name,A\n\nn-octane,1\n   \n , \n2-methylheptane,2\n"
+    ds = load_dataset(SKELETONS, text)
+    props = {rec.name: rec.properties for rec in ds.records if rec.properties}
+    assert props == {"n-octane": {"A": 1.0}, "2-methylheptane": {"A": 2.0}}
 
 
 def test_property_with_two_values_unusable():
