@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -37,21 +37,26 @@ class GraphParseError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
-    Edges are stored as a frozenset of (u, v) pairs with u < v; the degree
-    sequence is derived once and cached.  No self-loops, no multi-edges.
+    Edges are stored as a frozenset of (u, v) pairs with u < v, counted into
+    the degree sequence as they are checked.  No self-loops, no multi-edges.
     """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
+        deg = [0] * self.vertex_count
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.vertex_count):
                 raise ValueError(f"edge ({u},{v}) out of range or unnormalized")
+            deg[u] += 1
+            deg[v] += 1
+        object.__setattr__(self, "degrees", tuple(deg))  # frozen: set the derived field
 
     @classmethod
     def from_edges(cls, vertex_count: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -63,14 +68,6 @@ class Graph:
                 raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
             seen.add(e)
         return cls(vertex_count, frozenset(seen))
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
 
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
@@ -214,8 +211,8 @@ def random_connected_graphs(count: int, seed: int) -> list["NamedGraph"]:
         n = rng.randint(4, 12)
         p = rng.uniform(0.25, 0.85)
         while True:  # an edgeless draw is disconnected too, as n >= 4
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-            g = Graph.from_edges(n, pairs)
+            pairs = frozenset((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+            g = Graph(n, pairs)  # distinct pairs with i < j, as Graph takes them
             if is_connected(g):
                 break
         out.append(NamedGraph(f"random_{seed}_{k:04d}", g))
@@ -287,15 +284,6 @@ def _tree_from_levels(levels: tuple[int, ...]) -> Graph:
     return Graph(len(levels), frozenset(edges))
 
 
-def _canonical_trees(n: int) -> list[tuple[str, Graph]]:
-    """(canonical form, tree) for every free tree on n vertices, sorted by
-    canonical form, each tree labelled by its canonical level sequence."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    forms = sorted((".".join(map(str, code)), code) for code in _free_tree_codes(n))
-    return [(c, _tree_from_levels(code)) for c, code in forms]
-
-
 def enumerate_trees(n: int) -> list[Graph]:
     """All pairwise non-isomorphic trees on n vertices, sorted by canonical
     form.
@@ -305,11 +293,14 @@ def enumerate_trees(n: int) -> list[Graph]:
     level sequence, and its parent is the nearest earlier vertex one level
     up, so the labels depend only on the isomorphism class.
     """
-    return [t for _, t in _canonical_trees(n)]
+    if n < 1:
+        raise ValueError("n must be positive")
+    codes = sorted(_free_tree_codes(n), key=lambda code: ".".join(map(str, code)))
+    return [_tree_from_levels(code) for code in codes]
 
 
 class NamedGraph(NamedTuple):
-    """A graph with a stable identifier; `canonical` is filled for trees."""
+    """A graph with a stable identifier; `canonical` is filled for octane skeletons."""
 
     name: str
     graph: Graph
@@ -360,8 +351,8 @@ def default_corpus() -> list[NamedGraph]:
     (a,b<=4), and paths/cycles/stars up to 10 vertices."""
     out: list[NamedGraph] = list(enumerate_octane_skeletons())
     for n in range(2, 8):
-        for i, (c, t) in enumerate(_canonical_trees(n)):
-            out.append(NamedGraph(f"tree{n}_{i:02d}", t, c))
+        for i, t in enumerate(enumerate_trees(n)):
+            out.append(NamedGraph(f"tree{n}_{i:02d}", t))
     for n in range(2, 7):
         out.append(NamedGraph(f"K{n}", complete_graph(n)))
     for a in range(1, 5):

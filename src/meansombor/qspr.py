@@ -260,7 +260,7 @@ def load_dataset(graphs: Sequence[NamedGraph], properties_csv: str) -> QsprDatas
     for ng in graphs:
         if ng.name in by_name:
             raise ValueError(f"duplicate graph name {ng.name!r}")
-        if ng.graph.vertex_count < 1 or ng.graph.edge_count < 1:
+        if ng.graph.edge_count < 1:
             raise ValueError(f"graph {ng.name!r} has no edges")
         by_name[ng.name] = ng.graph
 

@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import click
 import pytest
 import scalar_battery as scalar
 
@@ -564,11 +565,20 @@ def test_missing_file_is_operational_error(capsys, tmp_path):
     assert code == 1
 
 
-def test_bad_alpha_is_operational_error(capsys, p3_file):
+def test_bad_alpha_is_operational_error(capsys, p3_file, monkeypatch):
     for spec, message in [("0.0", "literal '0'"), ("nan", "cannot parse alpha 'nan'")]:
         code, _, err = run(capsys, "compute", "--graph", str(p3_file), "--alpha", spec)
         assert code == 1
         assert message in err
+    # click's Abort (an interrupted prompt or input) exits 1 too
+    import meansombor.cli as cli_mod
+
+    def abort(spec):
+        raise click.exceptions.Abort()
+
+    monkeypatch.setattr(cli_mod, "parse_alpha", abort)
+    code, out, _ = run(capsys, "compute", "--graph", str(p3_file), "--alpha", "2")
+    assert code == 1 and out == ""
 
 
 def test_malformed_graph_is_operational_error(capsys, tmp_path):
@@ -623,19 +633,24 @@ def test_unknown_subcommand(capsys):
 
 
 def test_cli_imports_only_runtime_dependencies():
-    # the package needs numpy and click alone; networkx, mpmath and
-    # hypothesis are test oracles, and scipy is not used at all
-    code = (
-        "import sys, meansombor, meansombor.cli; "
-        "print(' '.join(m for m in ('scipy', 'networkx', 'mpmath', 'hypothesis') "
-        "if m in sys.modules))"
-    )
     src = str(Path(meansombor.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert done.stdout.strip() == ""
+    cases = [
+        # the package needs numpy and click alone; networkx, mpmath and
+        # hypothesis are test oracles, and scipy is not used at all
+        ("meansombor, meansombor.cli", ("scipy", "networkx", "mpmath", "hypothesis")),
+        # scripts/fetch_octane_properties.py imports the graphs module alone
+        ("meansombor.graphs", (
+            "numpy", "meansombor.indices", "meansombor.bounds",
+            "meansombor.spectral", "meansombor.qspr", "meansombor.cli",
+        )),
+    ]
+    for imports, absent in cases:
+        code = f"import sys, {imports}; print(' '.join(m for m in {absent!r} if m in sys.modules))"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "", imports

@@ -9,6 +9,7 @@ sweep over all labeled trees.
 import heapq
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -128,12 +129,44 @@ def test_degree_extremes(k3, k13, p3):
     assert degree_extremes(p3) == (1, 2)
 
 
+def _counted_degrees(g):
+    # each vertex's count of edge endpoints, as the constructor's pass
+    # must leave it in g.degrees
+    ends = Counter(x for e in g.edges for x in e)
+    return tuple(ends[v] for v in range(g.vertex_count))
+
+
 def test_degree_sum_is_twice_edges():
     for named in random_connected_graphs(50, seed=5):
         g = named.graph
         assert sum(g.degrees) == 2 * g.edge_count
     g = Graph.from_edges(6, [(0, 1), (2, 3)])
     assert sum(g.degrees) == 4
+    # every producer of graphs leaves the counted degrees
+    produced = [
+        parse_graph("5\n0 1\n3 1\n"),  # vertices 2 and 4 isolated
+        g,
+        disjoint_union(star_graph(2), complete_graph(3)),
+        *enumerate_trees(8),
+        # the octane skeletons, the trees on 2..7 vertices and the families
+        *(named.graph for named in default_corpus() + random_connected_graphs(50, seed=5)),
+    ]
+    for g in produced:
+        assert g.degrees == _counted_degrees(g)
+
+
+def test_degrees_take_no_part_in_identity():
+    # the constructor derives the degrees: it takes no degrees argument,
+    # and ==, hash and repr see only the vertex count and the edges
+    g, h = path_graph(3), Graph(3, frozenset({(0, 1), (1, 2)}))
+    object.__setattr__(h, "degrees", ())
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert "degrees" not in repr(g)
+    with pytest.raises(TypeError):
+        Graph(3, frozenset({(0, 1), (1, 2)}), (1, 2, 1))
+    # an id in range that is no int fails as its degree is counted
+    with pytest.raises(TypeError):
+        Graph(3, frozenset({(0.0, 1)}))
 
 
 def test_regularity_examples(k3, k13, p4):
@@ -195,6 +228,7 @@ def _edge_sets(draw):
 @given(_edge_sets())
 def test_is_connected_matches_the_breadth_first_walk(g):
     assert is_connected(g) == _reached_from_zero(g)
+    assert g.degrees == _counted_degrees(g)
 
 
 def _brute_force_centroids(g):

@@ -24,6 +24,7 @@ from meansombor.indices import (
 )
 from meansombor.spectral import (
     EdgeTermStats,
+    IdentityViolation,
     build_matrix,
     edge_term_stats,
     trace_of_square,
@@ -148,6 +149,11 @@ def test_variance_identity_examples(p3, p4, k3):
     assert identity_residual(*variance_identity(k3, Alpha.finite(2))[1:]) == pytest.approx(0.0, abs=1e-12)
     assert abs(identity_residual(*variance_identity(p3, Alpha.finite(2))[1:])) <= 1e-9
     assert abs(identity_residual(*variance_identity(p4, Alpha.finite(1))[1:])) <= 1e-9
+    # a radicand at -1e-9 is rounding, clamped to 0; one just below
+    # -1e-9 (1 + |radicand|) can only come from a broken implementation
+    assert identity_residual(2.0, -1e-9) == 2.0
+    with pytest.raises(IdentityViolation, match="negative radicand -1.000000002e-09"):
+        identity_residual(2.0, -1.000000002e-9)
 
 
 def test_variance_identity_across_corpus_and_grid():
