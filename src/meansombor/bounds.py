@@ -16,8 +16,10 @@ nonnegative up to floating-point tolerance and, where applicable, the
 predicted and observed equality agree (`verdict`).
 
 Each column entry equals the formula taken on one graph with floats, bit
-for bit.  Every edge or vertex sum is one `math.fsum` per key, as
-`pair_sum` takes it, and mSO and PM come from the keys' degree-pair table
+for bit.  Every edge or vertex sum is `ProfileSums.sums`, each key's
+`math.fsum` value as `pair_sum` takes it: taken in exact integer limbs on a
+table of `indices.LIMB_MIN_KEYS` keys or more, by fsum below that and where
+the limbs cannot be exact.  mSO and PM come from the keys' degree-pair table
 (`ProfileSums.mso`/`power_means`); per-key arithmetic on a side that can
 overflow is CPython's, which raises where numpy would return inf or nan;
 numpy does only + - * /, sqrt, min/max and comparisons, which IEEE
@@ -166,9 +168,11 @@ class _KeyColumns:
 
     The vertices of positive degree follow from the pairs (`_vertex_histogram`),
     and the rest of the vertex count is isolated.  Sums over edges go through
-    `edges` and sums over vertices of positive degree through `vertices`, each
-    one `math.fsum` per key, the value `pair_sum` and `variable_first_zagreb`
-    give on a graph with the key.
+    `edges` and sums over vertices of positive degree through `vertices`:
+    tables that give each key fsum's value (in integer limbs from
+    `indices.LIMB_MIN_KEYS` keys up), the value `pair_sum` and
+    `variable_first_zagreb` give on a graph with the key.  Each edge sum is
+    taken once per term object and each vertex sum once per exponent.
     """
 
     def __init__(self, keys: list[tuple]) -> None:
@@ -192,6 +196,7 @@ class _KeyColumns:
             dtype=bool,
         )
         self._edge_sums: dict[Callable, np.ndarray] = {}
+        self._vertex_sums: dict[float, np.ndarray] = {}
 
     def edge_sum(self, term: Callable[[int, int], float]) -> np.ndarray:
         """Each key's sum over its edges of term(d_lo, d_hi), once per term object."""
@@ -200,8 +205,10 @@ class _KeyColumns:
         return self._edge_sums[term]
 
     def variable_m1(self, p: float) -> np.ndarray:
-        """Each key's sum of d^p over its vertices of positive degree."""
-        return self.vertices.sums([d**p for d in self.vertices.items])
+        """Each key's sum of d^p over its vertices of positive degree, once per exponent."""
+        if p not in self._vertex_sums:
+            self._vertex_sums[p] = self.vertices.sums([d**p for d in self.vertices.items])
+        return self._vertex_sums[p]
 
 
 def kp_constant(a: float, b: float, p: float) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from decimal import Decimal
+from functools import cached_property
 from itertools import accumulate, chain, repeat, starmap
 from typing import Callable, Iterable, Sequence
 
@@ -205,35 +206,107 @@ def pair_sum(g: Graph, term: Callable[[int, int], float]) -> float:
     return math.fsum(chain.from_iterable(map(repeat, starmap(term, pairs), counts)))
 
 
+# Keys from which `ProfileSums` sums in integer limbs.  Below it numpy's
+# fixed cost per call is more than one fsum per key costs: on a 2-core host,
+# 38 against 44 us at 80 keys, 55 against 47 us at 96 (BENCH_exact_sums.json).
+LIMB_MIN_KEYS = 96
+# The widest spread of binary exponents a key's terms may have in the limbs:
+# a 53-bit mantissa shifted left by 10 stays below 2^63.
+_LIMB_SPAN = 10
+# Keys of this many edges or more are fsummed: below it the count-weighted
+# sum of a key's 32-bit limbs stays below 2^53, exact in int64 and as a float.
+_LIMB_MAX_EDGES = 2**21
+
+
 class ProfileSums:
-    """One multiset of items per key, such as each graph's degree pairs, and
-    on request (`counts()`) the keys x items matrix of their counts.  A key's
-    sum of per-item terms is one `math.fsum` over its items repeated by count:
-    fsum is correctly rounded, so that is the sum over the edges (vertices)
-    they count, bit for bit, as :func:`pair_sum` gives it.  Over degree pairs,
-    `power_means(a)` and `mso(a)` evaluate an exponent, each once per table."""
+    """One multiset of items per key, such as each graph's degree pairs, held
+    as each key's (item, count) entries, key after key; on request
+    (`counts()`), the keys x items matrix of their counts.  A key's sum of
+    per-item terms is, bit for bit, one `math.fsum` over its items repeated
+    by count: fsum is correctly rounded, so that is the sum over the edges
+    (vertices) they count, as :func:`pair_sum` gives it.  A table of fewer
+    than `LIMB_MIN_KEYS` keys takes that fsum key by key, a larger one exact
+    integer limbs (`entry_sums`).  Over degree pairs, `power_means(a)` and
+    `mso(a)` evaluate an exponent, each once per table.
+    """
 
     def __init__(self, multisets: Sequence[Sequence[tuple]]) -> None:
         self.items = sorted({x for ms in multisets for x, _ in ms})
         index = {x: i for i, x in enumerate(self.items)}
-        flat = [xc for ms in multisets for xc in ms]
-        positions = np.array([index[x] for x, _ in flat], dtype=np.intp)
-        self._spread = np.repeat(positions, [c for _, c in flat])
-        ends = list(accumulate((sum(c for _, c in ms) for ms in multisets), initial=0))
-        self._spans = list(zip(ends, ends[1:]))
+        self._item = np.array([index[x] for ms in multisets for x, _ in ms], dtype=np.intp)
+        self._count = np.array([c for ms in multisets for _, c in ms], dtype=np.int64)
+        self._starts = list(accumulate(map(len, multisets), initial=0))
+        self._totals = [sum(c for _, c in ms) for ms in multisets]
         self._pm: dict[float, np.ndarray] = {}
         self._mso: dict[float, np.ndarray] = {}
 
-    def spread(self, terms: Sequence[float]) -> np.ndarray:
-        """Per-item terms (indexed like `items`) repeated by count, key after key."""
-        return np.asarray(terms, dtype=float)[self._spread]
+    @cached_property
+    def entry_keys(self) -> np.ndarray:
+        """The key of each entry."""
+        return np.repeat(np.arange(len(self._totals)), np.diff(self._starts))
 
-    def fsums(self, spread: list[float]) -> np.ndarray:
-        """Each key's fsum of terms laid out as `spread` lays them."""
-        return np.array([math.fsum(spread[s:e]) for s, e in self._spans], dtype=float)
+    @cached_property
+    def _limbs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The keys with an entry, their first entries, each entry's place
+        among those keys, and which of them count fewer than `_LIMB_MAX_EDGES`."""
+        sizes = np.diff(self._starts)
+        filled = np.flatnonzero(sizes)
+        heads = np.array(self._starts[:-1], dtype=np.intp)[filled]
+        slot = np.repeat(np.arange(len(filled)), sizes[filled])
+        return filled, heads, slot, np.array(self._totals)[filled] < _LIMB_MAX_EDGES
+
+    def entries(self, terms: Sequence[float]) -> np.ndarray:
+        """Per-item `terms` (indexed like `items`) at each entry, key after key."""
+        return np.asarray(terms, dtype=float)[self._item]
 
     def sums(self, terms: Sequence[float]) -> np.ndarray:
-        return self.fsums(self.spread(terms).tolist())
+        """Each key's sum of per-item `terms` over its items repeated by count."""
+        return self.entry_sums(self.entries(terms))
+
+    def entry_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each key's sum of per-entry `values` (laid out as `entries` lays
+        them) repeated by count: the fsum of each key, or on a table of
+        `LIMB_MIN_KEYS` keys or more, its value from one numpy pass.
+
+        There each value is an integer mantissa M < 2^53 times 2^(e - 53)
+        (`np.frexp`).  Within a key each M is shifted left by e - e0, e0 the
+        key's smallest exponent of a nonzero value, and split into two 32-bit
+        limbs, whose count-weighted sums S_hi and S_lo are exact in int64.
+        The sum is ldexp(float(S_hi) 2^32 + float(S_lo), e0 - 53): both
+        operands are exact doubles, so the one IEEE addition rounds the exact
+        sum correctly, and a power of two scales it exactly where it is
+        normal.  Below 2^-1022 every value is a multiple of 2^-1074 (or
+        +-0.0, summed to +0.0 as fsum does), so the sum is exact throughout.
+        A key is fsummed instead when its values span more than `_LIMB_SPAN`
+        exponents, hold a negative, inf or nan, or count `_LIMB_MAX_EDGES` or
+        more, or when its sum overflows, where fsum raises OverflowError.
+        """
+        count = self._count
+        if len(self._totals) < LIMB_MIN_KEYS or not len(count):
+            spread, start, sums = values.repeat(count).tolist(), 0, []
+            for total in self._totals:
+                sums.append(math.fsum(spread[start:start + total]))
+                start += total
+            return np.array(sums, dtype=float)
+        filled, heads, slot, narrow = self._limbs
+        sane = (values >= 0.0) & (values < math.inf)  # nan fails both
+        mantissa, e = np.frexp(np.where(sane, values, 0.0))
+        zero = mantissa == 0.0
+        e0 = np.minimum.reduceat(np.where(zero, 1 << 20, e), heads)
+        e1 = np.maximum.reduceat(np.where(zero, -(1 << 20), e), heads)
+        m = np.ldexp(mantissa, 53).astype(np.int64) << np.clip(e - e0[slot], 0, _LIMB_SPAN)
+        hi = np.add.reduceat((m >> 32) * count, heads)
+        lo = np.add.reduceat((m & 0xFFFFFFFF) * count, heads)
+        with np.errstate(over="ignore"):
+            s = np.ldexp(hi * 2.0**32 + lo, e0 - 53)
+        exact = np.logical_and.reduceat(sane, heads) & (e1 - e0 <= _LIMB_SPAN) & narrow
+        out = np.zeros(len(self._totals))
+        out[filled] = s
+        for k in filled[~(exact & (s < math.inf))].tolist():  # edgeless keys keep fsum's +0.0
+            terms = values[self._starts[k]:self._starts[k + 1]].tolist()
+            counts = count[self._starts[k]:self._starts[k + 1]].tolist()
+            out[k] = math.fsum(chain.from_iterable(map(repeat, terms, counts)))
+        return out
 
     def power_means(self, a: Alpha) -> np.ndarray:
         """PM_a of each distinct pair, indexed like `items`."""
@@ -249,14 +322,15 @@ class ProfileSums:
 
     def counts(self) -> np.ndarray:
         """Each key's count of each item (indexed like `items`), as floats."""
-        n, k = len(self._spans), len(self.items)
-        key = np.repeat(np.arange(n), [e - s for s, e in self._spans])
-        return np.bincount(key * k + self._spread, minlength=n * k).reshape(n, k).astype(float)
+        n, k = len(self._totals), len(self.items)
+        cells = self.entry_keys * k + self._item
+        counts = np.bincount(cells, weights=self._count, minlength=n * k)
+        return counts.reshape(n, k).astype(float, copy=False)  # ints when there is no entry
 
     def extremes(self, terms: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Each key's largest and smallest term."""
-        spread, starts = self.spread(terms), [s for s, _ in self._spans]
-        return np.maximum.reduceat(spread, starts), np.minimum.reduceat(spread, starts)
+        """Each key's largest and smallest term; every key must have an entry."""
+        values, heads = self.entries(terms), self._starts[:-1]
+        return np.maximum.reduceat(values, heads), np.minimum.reduceat(values, heads)
 
 
 def mean_sombor(g: Graph, a: Alpha) -> float:

@@ -71,11 +71,13 @@ def trace_of_square(mat: np.ndarray) -> float:
 def variance_columns(edges: ProfileSums, m: np.ndarray, a: Alpha) -> tuple[np.ndarray, np.ndarray]:
     """The edge-term variance and the radicand (m/2) tr(M^2) - m^2 sigma^2 at
     `a` of each key of `edges`, with `m` edges, from the table's per-pair
-    power means and mSO, with tr(M^2) = 2 * sum of PM^2.  Each sum is one
-    fsum over the key's edges, the value `pair_sum` gives."""
+    power means and mSO, with tr(M^2) = 2 * sum of PM^2.  Each squared
+    deviation (PM - mSO/m)^2 is taken once per entry of the table (a key's
+    distinct pair), with Python's ``**2``, and each sum is `entry_sums`'s:
+    the fsum over the key's edges, the value `pair_sum` gives."""
     pm, mso = edges.power_means(a), edges.mso(a)
-    deviations = (edges.spread(pm) - np.repeat(mso / m, m)).tolist()
-    sigma2 = edges.fsums([d**2 for d in deviations]) / m
+    deviations = (edges.entries(pm) - (mso / m)[edges.entry_keys]).tolist()
+    sigma2 = edges.entry_sums(np.array([d**2 for d in deviations])) / m
     tr = 2.0 * edges.sums([v**2 for v in pm.tolist()])
     return sigma2, (m / 2.0) * tr - m * m * sigma2
 

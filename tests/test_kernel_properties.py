@@ -6,14 +6,18 @@ drawn log-uniformly in magnitude over [1e-300, 1e6].
 """
 
 import math
+import random
+import re
+import sys
 import warnings
 from collections import Counter
+from itertools import chain, repeat
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 mpmath = pytest.importorskip("mpmath")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meansombor.graphs import Graph, default_corpus, random_connected_graphs
@@ -21,6 +25,7 @@ from meansombor.indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
+    LIMB_MIN_KEYS,
     ProfileSums,
     ZERO_LIMIT,
     mean_sombor,
@@ -137,19 +142,38 @@ def edge_sets(draw):
     return Graph(n, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True))))
 
 
-@given(st.lists(edge_sets(), min_size=1, max_size=6), exponents)
-def test_profile_sums_equal_pair_sum_per_graph(graphs, a):
+# Graphs with edges that lift a drawn table to the limb route's size.
+LIMB_PADDING = [g for g in GRAPHS if g.edge_count][:LIMB_MIN_KEYS]
+assert len(LIMB_PADDING) == LIMB_MIN_KEYS
+
+
+def edge_terms(g, term):
+    deg = g.degrees
+    return [term(*sorted((deg[u], deg[v]))) for u, v in g.edge_list]
+
+
+@given(st.lists(edge_sets(), min_size=1, max_size=6), exponents, st.booleans())
+def test_profile_sums_equal_pair_sum_per_graph(graphs, a, limbs):
+    # below LIMB_MIN_KEYS keys the table takes one fsum per key, from it limbs
+    graphs = graphs + LIMB_PADDING if limbs else graphs
     profiles = ProfileSums([g.degree_pairs for g in graphs])
     for term in (lambda x, y: power_mean(x, y, a), lambda x, y: x * y / (x + y)):
-        sums = profiles.sums([term(x, y) for x, y in profiles.items])
-        assert sums.tolist() == [pair_sum(g, term) for g in graphs]
+        terms = [term(x, y) for x, y in profiles.items]
+        sums = profiles.sums(terms)
+        assert [v.hex() for v in sums.tolist()] == [pair_sum(g, term).hex() for g in graphs]
+        if all(g.edge_count for g in graphs):  # extremes needs an edge in every key
+            top, bottom = profiles.extremes(terms)
+            for g, hi, lo in zip(graphs, top.tolist(), bottom.tolist()):
+                per_edge = edge_terms(g, term)
+                assert (hi, lo) == (max(per_edge), min(per_edge))
     want = [mean_sombor(g, a).hex() for g in graphs]
     for _ in range(2):  # evaluated, then read back from the table's memo
         assert [v.hex() for v in profiles.mso(a).tolist()] == want
 
 
-@given(st.lists(edge_sets(), max_size=6))
-def test_profile_counts_are_each_profiles_edge_counter(graphs):
+@given(st.lists(edge_sets(), max_size=6), st.booleans())
+def test_profile_counts_are_each_profiles_edge_counter(graphs, large):
+    graphs = graphs + LIMB_PADDING if large else graphs
     profiles = ProfileSums([g.degree_pairs for g in graphs])
     counts = profiles.counts()
     assert counts.shape == (len(graphs), len(profiles.items)) and counts.dtype == float
@@ -157,3 +181,101 @@ def test_profile_counts_are_each_profiles_edge_counter(graphs):
         deg = g.degrees
         edges = Counter(tuple(sorted((deg[u], deg[v]))) for u, v in g.edge_list)
         assert {p: c for p, c in zip(profiles.items, row) if c} == edges
+
+
+# Terms for the limb route.  A family's terms lie within a few binary
+# exponents of a drawn scale, from the subnormals to the edge of overflow, so
+# its keys stay within the span the limbs take; some are half-ulp ties.  The
+# odd terms are zeros, the ends of the subnormal and normal ranges, anything
+# finite (wide spans), and values fsum rejects or that make it raise.
+scales = st.one_of(st.sampled_from((-1080, -1074, -1060, -1022, 0, 1000, 1019)), st.integers(-1080, 1019))
+odd_terms = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022, 2.0**-53, sys.float_info.max)),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+rejected_terms = st.sampled_from((math.inf, -math.inf, math.nan, -1.0, -2.0**-1074))
+
+
+def scaled_terms(e):
+    """Terms within five binary exponents of 2^e, or ties: 1 + 2^-52 and 1.0
+    sum to a half ulp over 2, and three 1 + 2^-52 to a half ulp over 3."""
+    return st.one_of(
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(e - 5, e + 5)),
+        st.sampled_from((1.0, 1.0 + 2.0**-52, 1.5, 2.0 - 2.0**-52)).map(lambda t: math.ldexp(t, e)),
+    )
+
+
+def entries(items, counts):
+    return st.lists(st.tuples(items, counts), unique_by=lambda e: e[0], max_size=4)
+
+
+@st.composite
+def limb_tables(draw):
+    """Per-item terms and at least LIMB_MIN_KEYS multisets of (item, count):
+    drawn keys within term families and over every kind of term (one of
+    them with counts up to 2^22), an edgeless key, and random keys."""
+    terms, keys = [], []
+    for e in draw(st.lists(scales, min_size=1, max_size=3)):
+        family = draw(st.lists(scaled_terms(e), min_size=1, max_size=5))
+        items = st.integers(len(terms), len(terms) + len(family) - 1)
+        terms += family
+        keys += draw(st.lists(entries(items, st.integers(1, 64)), max_size=4))
+    terms += draw(st.lists(odd_terms, max_size=4)) + draw(st.lists(rejected_terms, max_size=2))
+    items = st.integers(0, len(terms) - 1)
+    keys += draw(st.lists(entries(items, st.integers(1, 64)), max_size=4))
+    keys.insert(draw(st.integers(0, len(keys))), draw(entries(items, st.integers(1, 2**22)).map(lambda e: e[:2])))
+    keys.insert(draw(st.integers(0, len(keys))), [])
+    rng = draw(st.randoms(use_true_random=False))
+    keys += random_keys(rng, len(terms), LIMB_MIN_KEYS)
+    return terms + random_terms(rng), keys
+
+
+def random_terms(rng):
+    """Eight terms whose exponents span 13, so that some keys of them span more than 10."""
+    return [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-6, 6)) for _ in range(8)]
+
+
+def random_keys(rng, first, n):
+    """`n` keys of one to four of the eight items from `first` on, each counted 1 to 40 times."""
+    return [[(first + i, rng.randint(1, 40)) for i in rng.sample(range(8), rng.randint(1, 4))] for _ in range(n)]
+
+
+def fsum_or_error(values):
+    try:
+        return math.fsum(values).hex()
+    except (OverflowError, ValueError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(limb_tables())
+def test_limb_sums_are_fsum_of_the_repeated_terms(table):
+    terms, keys = table
+    profiles = ProfileSums(keys)
+    assert len(keys) >= LIMB_MIN_KEYS
+    want = [fsum_or_error(chain.from_iterable(repeat(terms[x], c) for x, c in key)) for key in keys]
+    error = next((w for w in want if isinstance(w, tuple)), None)
+    if error is None:
+        assert [v.hex() for v in profiles.sums([terms[x] for x in profiles.items]).tolist()] == want
+    else:  # the first key whose fsum raises decides the error
+        with pytest.raises(error[0], match=f"^{re.escape(error[1])}$"):
+            profiles.sums([terms[x] for x in profiles.items])
+
+
+def test_limb_sums_round_near_ties_at_the_count_limit():
+    # one term counted c times, 2^21 < c < 2^22: its mantissa M < 2^53 is
+    # chosen so that M c lies within 2 of a tie of its 53-bit rounding
+    # (2^21 mod 2^22, as 2^74 <= M c < 2^75), and its low limb's sum passes
+    # 2^53, where a float no longer holds it exactly
+    rng = random.Random(5)
+    keys, terms = random_keys(rng, 0, LIMB_MIN_KEYS), random_terms(rng)
+    for c in (2**21 + 2**13 + 1, 2**21 + 2**19 + 3, 2**22 - 1):
+        for offset in (-2, -1, 0, 1, 2):
+            low = (2**21 + offset) * pow(c, -1, 2**22) % 2**22
+            mantissa = 2**53 - 2**22 + low
+            assert (mantissa * c) % 2**22 == 2**21 + offset and (mantissa % 2**32) * c > 2**53
+            keys.append([(len(terms), c)])
+            terms.append(math.ldexp(mantissa, -52))
+    profiles = ProfileSums(keys)
+    for key, v in zip(keys, profiles.sums([terms[x] for x in profiles.items]).tolist()):
+        assert v.hex() == math.fsum(chain.from_iterable(repeat(terms[x], c) for x, c in key)).hex()

@@ -29,6 +29,7 @@ from meansombor.spectral import (
     edge_term_stats,
     trace_of_square,
     identity_residual,
+    variance_columns,
     variance_identity,
     write_matrix_csv,
 )
@@ -179,6 +180,27 @@ def test_variance_identity_matches_separate_edge_sums():
             assert mso == mean_sombor(g, a)
             assert stats == EdgeTermStats(m=m, mean=mean, sigma2=sigma2)
             assert radicand == (m / 2.0) * tr - m * m * sigma2
+
+
+def test_variance_columns_on_a_limb_table_match_per_edge_fsums():
+    # a table of LIMB_MIN_KEYS keys or more sums in integer limbs; each column
+    # entry must still be the per-edge fsum of d**2 and of PM**2, bit for bit
+    # (d * d, which the platform's pow(d, 2) behind d**2 does not always equal,
+    # changes keys 93 and 127 of
+    # these random graphs at a = -3 and -1)
+    graphs = [n.graph for n in default_corpus() + random_connected_graphs(128, seed=97)]
+    assert len(graphs) >= indices.LIMB_MIN_KEYS
+    edges = indices.ProfileSums([g.degree_pairs for g in graphs])
+    m = np.array([g.edge_count for g in graphs])
+    for a in ALPHA_GRID:
+        sigma2, radicand = variance_columns(edges, m, a)
+        for g, s2, r in zip(graphs, sigma2.tolist(), radicand.tolist()):
+            deg, n = g.degrees, g.edge_count
+            terms = [power_mean(deg[u], deg[v], a) for u, v in g.edge_list]
+            mean = math.fsum(terms) / n
+            want = math.fsum([(t - mean) ** 2 for t in terms]) / n
+            tr = 2.0 * math.fsum([t**2 for t in terms])
+            assert (s2.hex(), r.hex()) == (want.hex(), ((n / 2.0) * tr - n * n * want).hex())
 
 
 def test_variance_identity_report_evaluates_each_pair_once(monkeypatch):
