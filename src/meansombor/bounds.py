@@ -2,18 +2,21 @@
 
 Every check depends only on a graph's profile key (degree pairs, vertex
 count, connected).  Each proved inequality is one family: a function of
-`_KeyColumns`, the columns of a list of keys taken from the keys alone, and
-of an array of exponents (monotonicity takes a pair of arrays).  It yields
-one row per exponent, (bound_id, alpha, lhs, rhs, equality_predicted,
-equality_applicable, strict_expected), oriented so that lhs <= rhs is the
-claim, each side a column over the keys and each flag a bool or a bool
-column.  `run_verification` runs every family at its sweep exponents over
-the distinct keys of a corpus into a `VerificationTable`, which the CLI
-`verify` subcommand writes.  Each public ``check_*`` is a view of its family
-on one graph's key at one exponent, and `checks_for_graph` every family on
-one key: a list of :class:`BoundReport`.  A report "passes" when the slack is
-nonnegative up to floating-point tolerance and, where applicable, the
-predicted and observed equality agree (`verdict`).
+`_KeyColumns`, the columns of a list of keys taken from their entry arrays
+alone, and of an array of exponents (monotonicity takes a pair of arrays).
+It yields one row per exponent, (bound_id, alpha, lhs, rhs,
+equality_predicted, equality_applicable, strict_expected), oriented so that
+lhs <= rhs is the claim, each side a column over the keys and each flag a
+bool or a bool column.  `run_verification` runs every family at its sweep
+exponents over the distinct keys of a corpus into a `VerificationTable`,
+which the CLI `verify` subcommand writes.  A key is the graph's degree-pair entries from
+one numpy pass over the corpus (`indices.degree_pair_entries`), as bytes,
+with its vertex count and `is_connected`.  Each public ``check_*`` is a
+view of its family on one graph's key at one exponent, and
+`checks_for_graph` every family on one key: a list of :class:`BoundReport`
+(a view runs the same pass on its one graph).  A report "passes" when the
+slack is nonnegative up to floating-point tolerance and, where applicable,
+the predicted and observed equality agree (`verdict`).
 
 Each column entry equals the formula taken on one graph with floats, bit
 for bit.  Every edge or vertex sum is `ProfileSums.sums`, each key's
@@ -49,7 +52,9 @@ from .indices import (
     SPECIAL_VALUES,
     ProfileSums,
     ZERO_LIMIT,
+    degree_pair_entries,
     geometric_term,
+    pair_sums,
 )
 from .spectral import variance_columns
 
@@ -147,26 +152,12 @@ class BoundReport:
     ok = property(lambda self: self.verdict.ok)
 
 
-def _profile_key(g: Graph) -> tuple:
-    """The key every check reads of a graph: (degree pairs, vertex count, connected)."""
-    return g.degree_pairs, g.vertex_count, is_connected(g)
-
-
-def _vertex_histogram(pairs: Sequence[tuple[tuple[int, int], int]]) -> list[tuple[int, int]]:
-    """(degree, vertex count) of each positive degree of a degree-pair profile:
-    the edges' ends at degree d, divided by d."""
-    ends: dict[int, int] = {}
-    for (x, y), c in pairs:
-        ends[x] = ends.get(x, 0) + c
-        ends[y] = ends.get(y, 0) + c
-    return sorted((d, e // d) for d, e in ends.items())
-
-
 class _KeyColumns:
     """What the bound families read of profile keys (degree pairs, vertex
-    count, connected), as columns over the keys, from the keys alone.
+    count, connected), as columns over the keys, from the keys' degree-pair
+    entries (lo, hi, count), key after key, `sizes` per key.
 
-    The vertices of positive degree follow from the pairs (`_vertex_histogram`),
+    The vertices of degree d > 0 are the key's edge ends at d, divided by d,
     and the rest of the vertex count is isolated.  Sums over edges go through
     `edges` and sums over vertices of positive degree through `vertices`:
     tables that give each key fsum's value (in integer limbs from
@@ -175,28 +166,43 @@ class _KeyColumns:
     taken once per term object and each vertex sum once per exponent.
     """
 
-    def __init__(self, keys: list[tuple]) -> None:
-        self.keys = keys
-        profiles = [pairs for pairs, _, _ in keys]
-        histograms = [_vertex_histogram(pairs) for pairs in profiles]
-        isolated = [n - sum(c for _, c in h) for (_, n, _), h in zip(keys, histograms)]
-        degrees = [tuple(d for d, _ in h) for h in histograms]
-        self.edges = ProfileSums(profiles)
-        self.vertices = ProfileSums(histograms)
-        self.m = np.array([sum(c for _, c in pairs) for pairs in profiles], dtype=np.int64)
-        # minimum and maximum degree, isolated vertices included
-        self.extremes = [(0 if i else ds[0], ds[-1] if ds else 0) for ds, i in zip(degrees, isolated)]
-        self.connected = np.array([c for _, _, c in keys], dtype=bool)
+    def __init__(self, lo, hi, count, sizes: list[int], n: np.ndarray, connected: np.ndarray) -> None:
+        self._key = np.repeat(np.arange(len(sizes)), sizes)
+        self._entries, self._n = (lo, hi, count, sizes), n
+        self.edges = pair_sums(lo, hi, count, sizes)
+        self.m = np.bincount(self._key, count, len(sizes)).astype(np.int64)
+        self.connected = connected
+        self._equal = np.bincount(self._key, lo == hi, len(sizes))  # entries joining equal degrees
         # every edge joins equal degrees: every component is regular
-        self.balanced = np.array([all(x == y for (x, y), _ in p) for p in profiles], dtype=bool)
-        self.regular = np.array([len(ds) == 1 and not i for ds, i in zip(degrees, isolated)], dtype=bool)
-        self.regular_or_biregular = self.regular | np.array(
-            [len(ds) == 2 and not i and all(p == ds for p, _ in pairs)
-             for ds, i, pairs in zip(degrees, isolated, profiles)],
-            dtype=bool,
-        )
+        self.balanced = self._equal == sizes
         self._edge_sums: dict[Callable, np.ndarray] = {}
         self._vertex_sums: dict[float, np.ndarray] = {}
+
+    @cached_property
+    def _degrees(self) -> tuple[ProfileSums, np.ndarray, np.ndarray, np.ndarray]:
+        """`vertices`, `extremes`, `regular` and `regular_or_biregular`, read
+        off the vertex histogram on a family's first read of one of them, so
+        a view whose family reads none (monotonicity) builds none."""
+        lo, hi, count, sizes = self._entries
+        keys, top = len(sizes), int(hi.max(initial=0)) + 1
+        ends = sum(np.bincount(self._key * top + d, count, keys * top) for d in (lo, hi))
+        histogram = (ends.reshape(keys, top)[:, 1:] // np.arange(1, top)).astype(np.int64)
+        (at, degree), present = np.nonzero(histogram), histogram.any(0)
+        kinds = np.count_nonzero(histogram, 1)
+        items = (np.flatnonzero(present) + 1).tolist()
+        item = (np.cumsum(present) - 1)[degree]
+        vertices = ProfileSums.from_arrays(items, item, histogram[at, degree], kinds.tolist())
+        whole = self._n == histogram.sum(1)  # no isolated vertex
+        # minimum and maximum degree, isolated vertices included
+        most, least = vertices.extremes(items)
+        extremes = np.stack([np.where(whole, least, 0.0), np.maximum(most, 0.0)], 1)
+        regular = whole & (kinds == 1)
+        return vertices, extremes, regular, regular | whole & (kinds == 2) & (self._equal == 0)
+
+    vertices = property(lambda self: self._degrees[0])
+    extremes = property(lambda self: self._degrees[1])
+    regular = property(lambda self: self._degrees[2])
+    regular_or_biregular = property(lambda self: self._degrees[3])
 
     def edge_sum(self, term: Callable[[int, int], float]) -> np.ndarray:
         """Each key's sum over its edges of term(d_lo, d_hi), once per term object."""
@@ -292,11 +298,11 @@ def _kalpha(k: _KeyColumns, alphas: Sequence[float]) -> Iterator[tuple]:
             raise ValueError("the converse-Holder bound needs 0 < alpha < 1")
         if not k.m.all():
             raise ValueError("the converse-Holder bound needs at least one edge")
-        if any(delta < 1 for delta, _ in k.extremes):
+        if (k.extremes[:, 0] < 1).any():
             raise ValueError("the converse-Holder bound needs minimum degree >= 1")
-        bound = _jensen_bound(k, alpha)
-        constant = {e: kalpha_constant(*e, alpha) for e in set(k.extremes)}
-        rhs = bound * np.array([constant[e] for e in k.extremes])
+        extremes = list(map(tuple, k.extremes.tolist()))
+        constant = {e: kalpha_constant(*e, alpha) for e in set(extremes)}
+        rhs = _jensen_bound(k, alpha) * np.array([constant[e] for e in extremes])
         yield "kalpha", Alpha.finite(alpha), k.edges.mso(alpha), rhs, k.regular, True, False
 
 
@@ -405,9 +411,28 @@ class VerificationTable:
         return int(bad.sum()), (self.labels[j][0], self.graphs[i][0], slack[i, j].item())
 
 
+def _key_columns(graphs: Sequence[Graph]) -> tuple[list[int], _KeyColumns]:
+    """Each graph's battery, numbered in first-use order, and the columns of
+    the batteries' keys.  A key is exact: the graph's degree-pair entries as
+    bytes (`indices.degree_pair_entries`), its vertex count and `is_connected`."""
+    e = degree_pair_entries(graphs)
+    table = np.stack([e.lo, e.hi, e.count], 1, dtype=np.int64).tobytes()  # 24 bytes an entry
+    cuts = (np.searchsorted(e.graph, np.arange(len(graphs) + 1)) * 24).tolist()
+    batteries: dict[tuple, int] = {}
+    keyed = [
+        batteries.setdefault((table[i:j], g.vertex_count, is_connected(g)), len(batteries))
+        for g, i, j in zip(graphs, cuts, cuts[1:])
+    ]
+    entries = np.frombuffer(b"".join(b for b, _, _ in batteries), dtype=np.int64).reshape(-1, 3)
+    sizes = [len(b) // 24 for b, _, _ in batteries]
+    n = np.array([n for _, n, _ in batteries], dtype=np.int64)
+    connected = np.array([c for _, _, c in batteries], dtype=bool)
+    return keyed, _KeyColumns(*entries.T, sizes, n, connected)
+
+
 def _view(family, g: Graph, graph_id: str, *exponents) -> list[BoundReport]:
     """The rows of `family` at the exponents on g's key alone, as g's reports."""
-    k = _KeyColumns([_profile_key(g)])
+    k = _key_columns([g])[1]
     return [
         BoundReport(bound_id, graph_id, alpha, *(np.asarray(v).item() for v in values))
         for bound_id, alpha, *values in family(k, *exponents)
@@ -490,20 +515,18 @@ def run_verification(
     equal `checks_for_graph` on every graph in corpus order, bit for bit.
     """
     graphs = [*corpus, *random_connected_graphs(random_count, seed)]
-    batteries: dict[tuple, int] = {}
-    keyed = [(n.name, batteries.setdefault(_profile_key(n.graph), len(batteries))) for n in graphs]
-    k = _KeyColumns(list(batteries))
-    rejected = [key for key, (delta, _) in zip(k.keys, k.extremes) if delta < 1]
-    if rejected:  # an edgeless key fails the Jensen bound, an isolated vertex K_alpha's
-        list(_battery(_KeyColumns(rejected[:1])))
+    keyed, k = _key_columns([n.graph for n in graphs])
+    rejected = np.flatnonzero(k.extremes[:, 0] < 1)
+    if len(rejected):  # an edgeless key fails the Jensen bound, an isolated vertex K_alpha's
+        list(_battery(_key_columns([graphs[keyed.index(rejected[0])].graph])[1]))
     rows = list(_battery(k))
 
     def stack(i: int, dtype: type) -> np.ndarray:
-        return np.stack([np.broadcast_to(r[i], len(k.keys)) for r in rows], axis=1).astype(dtype)
+        return np.stack([np.broadcast_to(r[i], len(k.m)) for r in rows], axis=1).astype(dtype)
 
     return VerificationTable(
         tuple(r[:2] for r in rows), stack(2, float), stack(3, float),
-        stack(4, bool), stack(5, bool), stack(6, bool), keyed,
+        stack(4, bool), stack(5, bool), stack(6, bool), [(n.name, b) for n, b in zip(graphs, keyed)],
     )
 
 

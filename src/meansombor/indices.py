@@ -14,13 +14,15 @@ exponents with the classical expression mSO equals there; the CLI's
 `compute` prints it, and the bound battery's special-value chain orders its
 rows from -1 to 2.  Every edge sum reads the graph's degree-pair profile
 through :func:`pair_sum`, or through :class:`ProfileSums` for many graphs at
-once, whose `power_means`/`mso` evaluate the bounds', spectral and QSPR exponents.
+once (from one numpy pass over their edges, :func:`degree_pair_entries`),
+whose `power_means`/`mso` evaluate the bounds', spectral and QSPR exponents.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from decimal import Decimal
 from functools import cached_property
 from itertools import accumulate, chain, repeat, starmap
@@ -227,16 +229,32 @@ class ProfileSums:
     (vertices) they count, as :func:`pair_sum` gives it.  A table of fewer
     than `LIMB_MIN_KEYS` keys takes that fsum key by key, a larger one exact
     integer limbs (`entry_sums`).  Over degree pairs, `power_means(a)` and
-    `mso(a)` evaluate an exponent, each once per table.
+    `mso(a)` evaluate an exponent, each once per table.  The table is held
+    as arrays (`from_arrays`), which graphs reach through
+    `degree_pair_entries` and `pair_sums`; the constructor converts its
+    multisets to them.
     """
 
     def __init__(self, multisets: Sequence[Sequence[tuple]]) -> None:
-        self.items = sorted({x for ms in multisets for x, _ in ms})
-        index = {x: i for i, x in enumerate(self.items)}
-        self._item = np.array([index[x] for ms in multisets for x, _ in ms], dtype=np.intp)
-        self._count = np.array([c for ms in multisets for _, c in ms], dtype=np.int64)
-        self._starts = list(accumulate(map(len, multisets), initial=0))
-        self._totals = [sum(c for _, c in ms) for ms in multisets]
+        items = sorted({x for ms in multisets for x, _ in ms})
+        index = {x: i for i, x in enumerate(items)}
+        item = np.array([index[x] for ms in multisets for x, _ in ms], dtype=np.intp)
+        count = np.array([c for ms in multisets for _, c in ms], dtype=np.int64)
+        self._adopt(items, item, count, [len(ms) for ms in multisets])
+
+    @classmethod
+    def from_arrays(cls, items: list, item: np.ndarray, count: np.ndarray, sizes: list[int]):
+        """The table whose keys hold `sizes` entries each, key after key: an
+        index into the sorted `items` and a count per entry."""
+        self = cls.__new__(cls)
+        self._adopt(items, item, count, sizes)
+        return self
+
+    def _adopt(self, items, item, count, sizes) -> None:
+        self.items, self._item, self._count = items, item, count
+        self._starts = list(accumulate(sizes, initial=0))
+        running = np.concatenate(([0], np.cumsum(count)))
+        self._totals = (running[self._starts[1:]] - running[self._starts[:-1]]).tolist()
         self._pm: dict[float, np.ndarray] = {}
         self._mso: dict[float, np.ndarray] = {}
 
@@ -328,9 +346,57 @@ class ProfileSums:
         return counts.reshape(n, k).astype(float, copy=False)  # ints when there is no entry
 
     def extremes(self, terms: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Each key's largest and smallest term; every key must have an entry."""
-        values, heads = self.entries(terms), self._starts[:-1]
-        return np.maximum.reduceat(values, heads), np.minimum.reduceat(values, heads)
+        """Each key's largest and smallest term; -inf and +inf, the identities
+        of max and min, for a key with no entry."""
+        filled, heads = self._limbs[:2]
+        values, n = self.entries(terms), len(self._totals)
+        top, bottom = np.full(n, -math.inf), np.full(n, math.inf)
+        top[filled] = np.maximum.reduceat(values, heads)
+        bottom[filled] = np.minimum.reduceat(values, heads)
+        return top, bottom
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of `codes`, sorted: `np.unique`'s, but without the
+    import of `numpy.ma` (about 15 ms) on its first call."""
+    codes = np.sort(codes)
+    return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
+
+
+def pair_sums(lo: np.ndarray, hi: np.ndarray, count: np.ndarray, sizes: list[int]) -> ProfileSums:
+    """The `ProfileSums` of keys holding `sizes` degree-pair entries (lo, hi,
+    count) each, key after key; its items are the distinct (lo, hi) pairs."""
+    top = int(hi.max(initial=0)) + 1
+    entry_codes = lo * top + hi
+    codes = _distinct(entry_codes)
+    pairs = list(zip((codes // top).tolist(), (codes % top).tolist()))
+    return ProfileSums.from_arrays(pairs, np.searchsorted(codes, entry_codes), count, sizes)
+
+
+# Graphs' degree-pair profiles as entries sorted by graph, then by pair: each
+# entry's graph, pair d_lo <= d_hi and edge count; and each edge's entry and
+# two vertices, the edges graph after graph as each graph's `edges` iterates.
+PairEntries = namedtuple("PairEntries", "graph lo hi count edge_entry ends")
+
+
+def degree_pair_entries(graphs: Sequence[Graph]) -> PairEntries:
+    """Every graph's `degree_pairs` as `PairEntries`, in one numpy pass: each
+    end of the concatenated edges takes its degree from the concatenated
+    degree sequences, and one sort of (graph, d_lo, d_hi) codes."""
+    sizes = [len(g.edges) for g in graphs]
+    orders = np.array([g.vertex_count for g in graphs], dtype=np.intp)
+    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+    ends = np.fromiter(flat, np.intp, 2 * sum(sizes)).reshape(-1, 2)
+    degrees = np.fromiter(chain.from_iterable(g.degrees for g in graphs), np.int64)
+    du, dv = degrees[ends + np.repeat(np.cumsum(orders) - orders, sizes)[:, None]].T
+    top = int(degrees.max(initial=0)) + 1
+    graph = np.repeat(np.arange(len(graphs)), sizes)
+    edge_codes = (graph * top + np.minimum(du, dv)) * top + np.maximum(du, dv)
+    codes = _distinct(edge_codes)
+    edge_entry = np.searchsorted(codes, edge_codes)
+    count = np.bincount(edge_entry, minlength=len(codes))
+    graph, pair = np.divmod(codes, top * top)
+    return PairEntries(graph, *np.divmod(pair, top), count, edge_entry, ends)
 
 
 def mean_sombor(g: Graph, a: Alpha) -> float:

@@ -29,7 +29,7 @@ from typing import IO
 import numpy as np
 
 from .graphs import Graph
-from .indices import Alpha, ProfileSums
+from .indices import Alpha, ProfileSums, degree_pair_entries, pair_sums
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,16 @@ class IdentityViolation(RuntimeError):
 def build_matrix(g: Graph, a: Alpha) -> np.ndarray:
     """Dense symmetric matrix with PM_a(d_u, d_v) on edges, 0 elsewhere: the
     profile table's power means (one evaluation per distinct degree pair),
-    looked up by each edge's degree pair.
+    placed at every edge through its entry in one fancy-indexed assignment.
 
     The support pattern equals the adjacency pattern exactly: power-mean
     terms of positive degrees are strictly positive.
     """
-    deg, edges = g.degrees, ProfileSums([g.degree_pairs])
-    term = dict(zip(edges.items, edges.power_means(a).tolist()))
+    e = degree_pair_entries([g])
+    edges = pair_sums(e.lo, e.hi, e.count, [len(e.count)])
     mat = np.zeros((g.vertex_count, g.vertex_count), dtype=float)
-    for u, v in g.edges:
-        mat[u, v] = mat[v, u] = term[(deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])]
+    u, v = e.ends.T
+    mat[u, v] = mat[v, u] = edges.entries(edges.power_means(a))[e.edge_entry]
     return mat
 
 
@@ -89,7 +89,8 @@ def variance_identity(g: Graph, a: Alpha) -> tuple[EdgeTermStats, float, float]:
     m = g.edge_count
     if m == 0:
         raise ValueError("edge statistics are undefined for an edgeless graph")
-    edges = ProfileSums([g.degree_pairs])
+    e = degree_pair_entries([g])
+    edges = pair_sums(e.lo, e.hi, e.count, [len(e.count)])
     sigma2, radicand = (c.item() for c in variance_columns(edges, np.array([m]), a))
     mso = edges.mso(a).item()
     return EdgeTermStats(m=m, mean=mso / m, sigma2=sigma2), mso, radicand

@@ -38,6 +38,7 @@ from meansombor.graphs import (
     complete_graph,
     cycle_graph,
     default_corpus,
+    degree_extremes,
     disjoint_union,
     enumerate_trees,
     is_connected,
@@ -511,6 +512,24 @@ def test_checks_for_graph_rows_are_label_invariant():
         rows = _bits(scalar.checks_for_graph(named))
         assert _bits(scalar.checks_for_graph(relabelled)) == rows
         assert _bits(checks_for_graph(relabelled)) == rows
+
+
+def test_key_columns_are_the_scalar_battery_decisions():
+    # every key column read through each graph's battery is the value the
+    # scalar battery decides on the graph itself: on the default corpus, all
+    # trees with n <= 10 and every graph of the n <= 7 atlas (isolated
+    # vertices, edgeless graphs, C6 and 2C3 among them)
+    atlas = [Graph.from_edges(a.number_of_nodes(), a.edges) for a in nx.graph_atlas_g()[1:]]
+    trees = [t for n in range(2, 11) for t in enumerate_trees(n)]
+    for graphs in ([n.graph for n in default_corpus()], trees, atlas):
+        keyed, k = bounds._key_columns(graphs)
+        for g, b in zip(graphs, keyed):
+            tag = scalar.regularity_class(g)
+            got = (k.m[b], tuple(k.extremes[b]), k.connected[b], k.balanced[b], k.regular[b],
+                   k.regular_or_biregular[b])
+            want = (g.edge_count, degree_extremes(g), is_connected(g), scalar.all_components_regular(g),
+                    tag is scalar.RegularityTag.REGULAR, tag is not scalar.RegularityTag.NEITHER)
+            assert got == want, (g, got, want)
 
 
 def test_run_verification_reuses_rows_per_profile_key():

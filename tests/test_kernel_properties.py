@@ -17,10 +17,20 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 mpmath = pytest.importorskip("mpmath")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meansombor.graphs import Graph, default_corpus, random_connected_graphs
+from meansombor import bounds
+from meansombor.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    default_corpus,
+    disjoint_union,
+    is_connected,
+    path_graph,
+    random_connected_graphs,
+)
 from meansombor.indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
@@ -28,6 +38,7 @@ from meansombor.indices import (
     LIMB_MIN_KEYS,
     ProfileSums,
     ZERO_LIMIT,
+    degree_pair_entries,
     mean_sombor,
     pair_sum,
     power_mean,
@@ -153,6 +164,8 @@ def edge_terms(g, term):
 
 
 @given(st.lists(edge_sets(), min_size=1, max_size=6), exponents, st.booleans())
+@example([path_graph(3), Graph(3, frozenset())], ZERO_LIMIT, False)  # a trailing edgeless key
+@example([Graph(4, frozenset()), path_graph(3)], ALPHA_PLUS_INF, False)  # an edgeless key first
 def test_profile_sums_equal_pair_sum_per_graph(graphs, a, limbs):
     # below LIMB_MIN_KEYS keys the table takes one fsum per key, from it limbs
     graphs = graphs + LIMB_PADDING if limbs else graphs
@@ -161,14 +174,58 @@ def test_profile_sums_equal_pair_sum_per_graph(graphs, a, limbs):
         terms = [term(x, y) for x, y in profiles.items]
         sums = profiles.sums(terms)
         assert [v.hex() for v in sums.tolist()] == [pair_sum(g, term).hex() for g in graphs]
-        if all(g.edge_count for g in graphs):  # extremes needs an edge in every key
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             top, bottom = profiles.extremes(terms)
-            for g, hi, lo in zip(graphs, top.tolist(), bottom.tolist()):
-                per_edge = edge_terms(g, term)
-                assert (hi, lo) == (max(per_edge), min(per_edge))
+        for g, hi, lo in zip(graphs, top.tolist(), bottom.tolist()):
+            per_edge = edge_terms(g, term)
+            # an edgeless key gets the identities of max and min
+            assert (hi, lo) == ((max(per_edge), min(per_edge)) if per_edge else (-math.inf, math.inf))
     want = [mean_sombor(g, a).hex() for g in graphs]
     for _ in range(2):  # evaluated, then read back from the table's memo
         assert [v.hex() for v in profiles.mso(a).tolist()] == want
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@st.composite
+def corpora(draw):
+    """Drawn graphs (edgeless ones, isolated vertices and K1 among them), each
+    used any number of times, as itself or relabelled, in any order."""
+    base = draw(st.lists(st.one_of(edge_sets(), st.just(Graph(1, frozenset()))), min_size=1, max_size=5))
+    picks = draw(st.lists(st.tuples(st.sampled_from(base), st.booleans()), max_size=12))
+    rng = draw(st.randoms(use_true_random=False))
+    return [_relabelled(g, rng) if relabel else g for g, relabel in picks]
+
+
+@given(corpora())
+@example([cycle_graph(6), disjoint_union(complete_graph(3), complete_graph(3)), cycle_graph(6)])
+@example([path_graph(3), disjoint_union(path_graph(3), Graph(1, frozenset())), Graph(1, frozenset())])
+def test_degree_pair_entries_split_a_corpus_as_its_profile_keys(graphs):
+    # the pass gives each graph's degree_pairs, graph after graph; each edge,
+    # in the order its graph's `edges` iterates, points at its pair's entry;
+    # and the sweep's batteries are the (degree_pairs, n, connected) keys of
+    # the graphs in first-use order
+    e = degree_pair_entries(graphs)
+    assert e.graph.tolist() == sorted(e.graph.tolist())
+    edges = iter(zip(e.ends.tolist(), e.edge_entry.tolist()))
+    for i, g in enumerate(graphs):
+        at = e.graph == i
+        entries = list(zip(zip(e.lo[at].tolist(), e.hi[at].tolist()), e.count[at].tolist()))
+        assert entries == list(g.degree_pairs)
+        for (u, v), (end, entry) in zip(g.edges, edges):
+            assert (end, e.graph[entry]) == ([u, v], i)
+            assert (e.lo[entry], e.hi[entry]) == tuple(sorted((g.degrees[u], g.degrees[v])))
+    assert next(edges, None) is None
+    keyed, columns = bounds._key_columns(graphs)
+    batteries = {}
+    keys = [(g.degree_pairs, g.vertex_count, is_connected(g)) for g in graphs]
+    want = [batteries.setdefault(key, len(batteries)) for key in keys]
+    assert keyed == want and len(columns.m) == len(batteries)
 
 
 @given(st.lists(edge_sets(), max_size=6), st.booleans())
