@@ -20,7 +20,7 @@ the predicted and observed equality agree (`verdict`).
 
 Each column entry equals the formula taken on one graph with floats, bit
 for bit.  Every edge or vertex sum is `ProfileSums.sums`, each key's
-`math.fsum` value as `pair_sum` takes it: taken in exact integer limbs on a
+`math.fsum` value, the per-edge `pair_sum`'s: taken in exact integer limbs on a
 table of `indices.LIMB_MIN_KEYS` keys or more, by fsum below that and where
 the limbs cannot be exact.  mSO and PM come from the keys' degree-pair table
 (`ProfileSums.mso`/`power_means`); per-key arithmetic on a side that can
@@ -191,7 +191,7 @@ class _KeyColumns:
         kinds = np.count_nonzero(histogram, 1)
         items = (np.flatnonzero(present) + 1).tolist()
         item = (np.cumsum(present) - 1)[degree]
-        vertices = ProfileSums.from_arrays(items, item, histogram[at, degree], kinds.tolist())
+        vertices = ProfileSums(items, item, histogram[at, degree], kinds.tolist())
         whole = self._n == histogram.sum(1)  # no isolated vertex
         # minimum and maximum degree, isolated vertices included
         most, least = vertices.extremes(items)

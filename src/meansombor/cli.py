@@ -26,7 +26,7 @@ from .graphs import (
     random_connected_graphs,
     to_edge_list_text,
 )
-from .indices import SPECIAL_VALUES, mean_sombor, pair_sum, parse_alpha
+from .indices import SPECIAL_VALUES, parse_alpha, profile_sums
 from .qspr import (
     AlphaGrid,
     QsprDataset,
@@ -82,10 +82,11 @@ def compute(graph_path: str, alpha_spec: str, fmt: str, out: str | None) -> None
     """Index table: mSO at the requested exponent plus every special case."""
     g = _read_graph(graph_path)
     a = parse_alpha(alpha_spec)
-    rows: list[tuple[str, float]] = [(f"mSO[{a.token()}]", mean_sombor(g, a))]
+    t = profile_sums([g])[1]  # one key: the values are pair_sum's, bit for bit
+    rows: list[tuple[str, float]] = [(f"mSO[{a.token()}]", t.mso(a).item())]
     for special, label, scale, term in SPECIAL_VALUES:
-        rows.append((f"mSO[{special.token()}]", mean_sombor(g, special)))
-        rows.append((label, scale * pair_sum(g, term)))
+        rows.append((f"mSO[{special.token()}]", t.mso(special).item()))
+        rows.append((label, scale * t.sums([term(x, y) for x, y in t.items]).item()))
     if fmt == "json":
         text = json.dumps(
             [{"quantity": q, "value": v} for q, v in rows], indent=2

@@ -18,7 +18,6 @@ and the vertex labels depend only on the isomorphism classes.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -73,16 +72,6 @@ class Graph:
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         """Edges in sorted order; the deterministic iteration order."""
         return tuple(sorted(self.edges))
-
-    @cached_property
-    def degree_pairs(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        """Degree-pair profile: the distinct (d_lo, d_hi) endpoint-degree
-        pairs in sorted order, each with its edge count."""
-        deg = self.degrees
-        counts = Counter(
-            (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u]) for u, v in self.edges
-        )
-        return tuple(sorted(counts.items()))
 
     @property
     def edge_count(self) -> int:

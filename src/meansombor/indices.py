@@ -12,10 +12,12 @@ first Zagreb, Sombor, the (a,b)-KA family, and the min/max edge sums).
 :data:`SPECIAL_VALUES` is the paper's Table 2, the one list of those
 exponents with the classical expression mSO equals there; the CLI's
 `compute` prints it, and the bound battery's special-value chain orders its
-rows from -1 to 2.  Every edge sum reads the graph's degree-pair profile
-through :func:`pair_sum`, or through :class:`ProfileSums` for many graphs at
-once (from one numpy pass over their edges, :func:`degree_pair_entries`),
-whose `power_means`/`mso` evaluate the bounds', spectral and QSPR exponents.
+rows from -1 to 2.  :func:`pair_sum` is the paper's edge sum, one fsum over
+a graph's edges.  Every other edge sum reads the degree-pair profile, which
+one numpy pass over the edges derives (:func:`degree_pair_entries`): its
+:class:`ProfileSums` table (:func:`profile_sums`) sums each term once per
+distinct pair, bit for bit the per-edge sum, and its `power_means`/`mso`
+evaluate the CLI's, bounds', spectral and QSPR exponents.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import operator
 from collections import namedtuple
 from decimal import Decimal
 from functools import cached_property
-from itertools import accumulate, chain, repeat, starmap
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -195,17 +197,15 @@ def descriptor_matrix(profiles: ProfileSums, alphas: Sequence[Alpha]) -> np.ndar
 
 
 def pair_sum(g: Graph, term: Callable[[int, int], float]) -> float:
-    """Edge sum of ``term(d_lo, d_hi)`` over the degree-pair profile.
-
-    The term is evaluated once per distinct pair and repeated by its edge
-    count; fsum rounds that multiset exactly as it rounds the per-edge
-    terms, so for a term symmetric in its arguments the value is
-    bit-identical to the sum over the edge list.  0.0 on an edgeless graph.
+    """Edge sum of ``term(d_lo, d_hi)``, the paper's definition: one
+    `math.fsum` over the edges, each term taken at its edge's endpoint
+    degrees in ascending order.  0.0 on an edgeless graph.  The profile
+    tables (:func:`profile_sums`) are checked against it bit for bit.
     """
-    if not g.degree_pairs:
-        return 0.0
-    pairs, counts = zip(*g.degree_pairs)
-    return math.fsum(chain.from_iterable(map(repeat, starmap(term, pairs), counts)))
+    deg = g.degrees
+    return math.fsum(
+        term(deg[u], deg[v]) if deg[u] <= deg[v] else term(deg[v], deg[u]) for u, v in g.edges
+    )
 
 
 # Keys from which `ProfileSums` sums in integer limbs.  Below it numpy's
@@ -226,31 +226,16 @@ class ProfileSums:
     (`counts()`), the keys x items matrix of their counts.  A key's sum of
     per-item terms is, bit for bit, one `math.fsum` over its items repeated
     by count: fsum is correctly rounded, so that is the sum over the edges
-    (vertices) they count, as :func:`pair_sum` gives it.  A table of fewer
+    (vertices) they count, :func:`pair_sum`'s value.  A table of fewer
     than `LIMB_MIN_KEYS` keys takes that fsum key by key, a larger one exact
     integer limbs (`entry_sums`).  Over degree pairs, `power_means(a)` and
-    `mso(a)` evaluate an exponent, each once per table.  The table is held
-    as arrays (`from_arrays`), which graphs reach through
-    `degree_pair_entries` and `pair_sums`; the constructor converts its
-    multisets to them.
+    `mso(a)` evaluate an exponent, each once per table.  Graphs reach their
+    table through `profile_sums` (`degree_pair_entries`, then `pair_sums`).
     """
 
-    def __init__(self, multisets: Sequence[Sequence[tuple]]) -> None:
-        items = sorted({x for ms in multisets for x, _ in ms})
-        index = {x: i for i, x in enumerate(items)}
-        item = np.array([index[x] for ms in multisets for x, _ in ms], dtype=np.intp)
-        count = np.array([c for ms in multisets for _, c in ms], dtype=np.int64)
-        self._adopt(items, item, count, [len(ms) for ms in multisets])
-
-    @classmethod
-    def from_arrays(cls, items: list, item: np.ndarray, count: np.ndarray, sizes: list[int]):
+    def __init__(self, items: list, item: np.ndarray, count: np.ndarray, sizes: list[int]) -> None:
         """The table whose keys hold `sizes` entries each, key after key: an
         index into the sorted `items` and a count per entry."""
-        self = cls.__new__(cls)
-        self._adopt(items, item, count, sizes)
-        return self
-
-    def _adopt(self, items, item, count, sizes) -> None:
         self.items, self._item, self._count = items, item, count
         self._starts = list(accumulate(sizes, initial=0))
         running = np.concatenate(([0], np.cumsum(count)))
@@ -370,7 +355,7 @@ def pair_sums(lo: np.ndarray, hi: np.ndarray, count: np.ndarray, sizes: list[int
     entry_codes = lo * top + hi
     codes = _distinct(entry_codes)
     pairs = list(zip((codes // top).tolist(), (codes % top).tolist()))
-    return ProfileSums.from_arrays(pairs, np.searchsorted(codes, entry_codes), count, sizes)
+    return ProfileSums(pairs, np.searchsorted(codes, entry_codes), count, sizes)
 
 
 # Graphs' degree-pair profiles as entries sorted by graph, then by pair: each
@@ -380,9 +365,10 @@ PairEntries = namedtuple("PairEntries", "graph lo hi count edge_entry ends")
 
 
 def degree_pair_entries(graphs: Sequence[Graph]) -> PairEntries:
-    """Every graph's `degree_pairs` as `PairEntries`, in one numpy pass: each
-    end of the concatenated edges takes its degree from the concatenated
-    degree sequences, and one sort of (graph, d_lo, d_hi) codes."""
+    """Every graph's degree-pair profile as `PairEntries`, in one numpy pass:
+    each end of the concatenated edges takes its degree from the concatenated
+    degree sequences, and one sort of (graph, d_lo, d_hi) codes.  This pass is
+    the one derivation of the profile."""
     sizes = [len(g.edges) for g in graphs]
     orders = np.array([g.vertex_count for g in graphs], dtype=np.intp)
     flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
@@ -399,15 +385,23 @@ def degree_pair_entries(graphs: Sequence[Graph]) -> PairEntries:
     return PairEntries(graph, *np.divmod(pair, top), count, edge_entry, ends)
 
 
+def profile_sums(graphs: Sequence[Graph]) -> tuple[PairEntries, ProfileSums]:
+    """The graphs' `degree_pair_entries` and their degree-pair table, one key
+    per graph (an edgeless graph's key holds no entry)."""
+    e = degree_pair_entries(graphs)
+    sizes = np.bincount(e.graph, minlength=len(graphs)).tolist()
+    return e, pair_sums(e.lo, e.hi, e.count, sizes)
+
+
 def mean_sombor(g: Graph, a: Alpha) -> float:
     """Sum of the power mean of the endpoint degrees over all edges."""
     return pair_sum(g, lambda x, y: power_mean(x, y, a))
 
 
 # ---------------------------------------------------------------------------
-# Classical indices (edge sums over the same degree-pair profile, but with
-# their own closed-form terms, not routed through the power mean -- they
-# double as cross-checks of the special cases; M1 is a vertex sum).  The
+# Classical indices (edge sums like mSO, but with their own closed-form
+# terms, not routed through the power mean -- they double as cross-checks
+# of the special cases; M1 is a vertex sum).  The
 # edge terms come first: each is one object, which its index function and
 # its row of SPECIAL_VALUES both sum.
 # ---------------------------------------------------------------------------

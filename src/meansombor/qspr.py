@@ -3,9 +3,10 @@ one-descriptor linear model, and scan the power-mean exponent for the best
 Pearson correlation.
 
 The model is ``property ~ c1 * mSO_a(G) + c2`` per property.  A dataset
-has one degree-pair profile table (``QsprDataset.profiles``), read by the
-descriptor matrix (``indices.descriptor_matrix``, built once per command),
-the refinement and every fit, each property taking its records' rows.  The
+has one degree-pair profile table (``QsprDataset.profiles``, from
+``indices.profile_sums``), read by the descriptor matrix
+(``indices.descriptor_matrix``, built once per command), the refinement
+and every fit, each property taking its records' rows.  The
 scan's curve is one r array over the grid, Pearson's r of every matrix
 column at once; it agrees with per-point fits to matmul rounding (nan where
 the records share one mSO).  Refinement and the candidates are ranked by
@@ -50,6 +51,7 @@ from .indices import (
     ProfileSums,
     ZERO_LIMIT,
     descriptor_matrix,
+    profile_sums,
 )
 
 _BETA_TOL = 1e-12
@@ -244,7 +246,7 @@ class QsprDataset:
     @cached_property
     def profiles(self) -> ProfileSums:
         """The records' degree-pair profiles, built on first use."""
-        return ProfileSums([rec.graph.degree_pairs for rec in self.records])
+        return profile_sums([rec.graph for rec in self.records])[1]
 
 
 def load_dataset(graphs: Sequence[NamedGraph], properties_csv: str) -> QsprDataset:

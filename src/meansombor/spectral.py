@@ -9,8 +9,9 @@ that with the variance of the edge-term sequence recovers the index itself.
 table's power means and mSO (``ProfileSums.power_means``/``mso``, one
 evaluation per distinct degree pair), for many profile keys at once (the
 verification sweep's rows) or, through :func:`variance_identity`, for one
-graph; the dense matrix serves the ``matrix`` command and the tests'
-reference route:
+graph, whose table is ``indices.profile_sums([g])``.  The dense matrix,
+that table's power means placed at the edges, serves the ``matrix`` command
+and the tests' reference route:
 
     mSO = sqrt( (m/2) * tr(M^2) - m^2 * sigma^2 )
 
@@ -29,7 +30,7 @@ from typing import IO
 import numpy as np
 
 from .graphs import Graph
-from .indices import Alpha, ProfileSums, degree_pair_entries, pair_sums
+from .indices import Alpha, ProfileSums, profile_sums
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,7 @@ def build_matrix(g: Graph, a: Alpha) -> np.ndarray:
     The support pattern equals the adjacency pattern exactly: power-mean
     terms of positive degrees are strictly positive.
     """
-    e = degree_pair_entries([g])
-    edges = pair_sums(e.lo, e.hi, e.count, [len(e.count)])
+    e, edges = profile_sums([g])
     mat = np.zeros((g.vertex_count, g.vertex_count), dtype=float)
     u, v = e.ends.T
     mat[u, v] = mat[v, u] = edges.entries(edges.power_means(a))[e.edge_entry]
@@ -89,8 +89,7 @@ def variance_identity(g: Graph, a: Alpha) -> tuple[EdgeTermStats, float, float]:
     m = g.edge_count
     if m == 0:
         raise ValueError("edge statistics are undefined for an edgeless graph")
-    e = degree_pair_entries([g])
-    edges = pair_sums(e.lo, e.hi, e.count, [len(e.count)])
+    edges = profile_sums([g])[1]
     sigma2, radicand = (c.item() for c in variance_columns(edges, np.array([m]), a))
     mso = edges.mso(a).item()
     return EdgeTermStats(m=m, mean=mso / m, sigma2=sigma2), mso, radicand

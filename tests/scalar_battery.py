@@ -7,11 +7,16 @@ rows call `spectral.variance_identity`, which is the sweep's column form on
 one key; `test_variance_identity_matches_separate_edge_sums` checks that
 against separate per-graph edge sums.  `regularity_class` reads the degree
 structure off the graph, and `table_rows` gives a sweep table's rows as
-reports, graph by graph.
+reports, graph by graph.  `degree_pairs` counts a graph's degree-pair
+profile edge by edge, the reference for `indices.degree_pair_entries`, and
+`profile_table` makes the `indices.ProfileSums` of any multisets.
 """
 
 import math
+from collections import Counter
 from enum import Enum
+
+import numpy as np
 
 from meansombor.bounds import (
     JENSEN_ALPHAS,
@@ -29,6 +34,7 @@ from meansombor.graphs import Graph, NamedGraph, degree_extremes, is_connected
 from meansombor.indices import (
     SPECIAL_VALUES,
     Alpha,
+    ProfileSums,
     first_zagreb,
     ka_index,
     mean_sombor,
@@ -38,6 +44,25 @@ from meansombor.indices import (
     variable_first_zagreb,
 )
 from meansombor.spectral import variance_identity
+
+
+def degree_pairs(g: Graph) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Degree-pair profile counted over the edges: the distinct (d_lo, d_hi)
+    endpoint-degree pairs in sorted order, each with its edge count."""
+    deg = g.degrees
+    counts = Counter((deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u]) for u, v in g.edges)
+    return tuple(sorted(counts.items()))
+
+
+def profile_table(multisets) -> ProfileSums:
+    """The `ProfileSums` with one key per multiset of (item, count) entries,
+    each key's entries in the multiset's order; its items are the sorted
+    distinct items."""
+    items = sorted({x for ms in multisets for x, _ in ms})
+    index = {x: i for i, x in enumerate(items)}
+    item = np.array([index[x] for ms in multisets for x, _ in ms], dtype=np.intp)
+    count = np.array([c for ms in multisets for _, c in ms], dtype=np.int64)
+    return ProfileSums(items, item, count, [len(ms) for ms in multisets])
 
 
 class RegularityTag(Enum):
@@ -56,7 +81,7 @@ def regularity_class(g: Graph) -> RegularityTag:
     distinct = tuple(sorted(set(g.degrees)))
     if len(distinct) == 1:
         return RegularityTag.REGULAR
-    if len(distinct) == 2 and all(p == distinct for p, _ in g.degree_pairs):
+    if len(distinct) == 2 and all(p == distinct for p, _ in degree_pairs(g)):
         return RegularityTag.BIREGULAR
     return RegularityTag.NEITHER
 
@@ -67,7 +92,7 @@ def all_components_regular(g: Graph) -> bool:
     Equivalent to every edge joining two vertices of equal degree, which is
     the equality condition shared by several of the bound checks.
     """
-    return all(lo == hi for (lo, hi), _ in g.degree_pairs)
+    return all(lo == hi for (lo, hi), _ in degree_pairs(g))
 
 
 def check_monotonicity(g: Graph, a1: Alpha, a2: Alpha, graph_id: str = "") -> BoundReport:
@@ -233,7 +258,7 @@ def check_ka_powersum_bound(
         lhs, rhs = base, ka
     else:
         lhs, rhs = ka, base
-    terms = [x**alpha + y**alpha for (x, y), _ in g.degree_pairs]
+    terms = [x**alpha + y**alpha for (x, y), _ in degree_pairs(g)]
     spread = max(terms) - min(terms)
     predicted = beta in (0.0, 1.0) or spread <= 1e-12 * max(terms)
     return BoundReport(

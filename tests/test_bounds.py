@@ -544,7 +544,7 @@ def test_run_verification_reuses_rows_per_profile_key():
     k23 = complete_bipartite(2, 3)
     collisions = [NamedGraph("C6", c6), NamedGraph("2C3", two_c3), NamedGraph("K2,3", k23)]
     collisions += [NamedGraph(f"K2,3_relabelled_{i}", _relabelled(k23, rng)) for i in range(3)]
-    assert c6.degree_pairs == two_c3.degree_pairs  # same profile and n, not connectivity
+    assert scalar.degree_pairs(c6) == scalar.degree_pairs(two_c3)  # same profile and n, not connectivity
     dense = [random_connected_graphs(300, seed) for seed in (20240803, 97)]
     for gs in (default_corpus(), trees, collisions, *dense):
         assert _bits(scalar.table_rows(run_verification(gs, random_count=0))) == _bits(
@@ -575,7 +575,7 @@ def test_run_verification_reuses_rows_per_profile_key():
         run_verification([p3_k1, NamedGraph("K1", k1)], random_count=0)
 
     table = run_verification(trees, random_count=0)
-    keys = {(n.graph.degree_pairs, n.graph.vertex_count, is_connected(n.graph)) for n in trees}
+    keys = {(scalar.degree_pairs(n.graph), n.graph.vertex_count, is_connected(n.graph)) for n in trees}
     assert table.lhs.shape[0] == len(keys) < len(trees)
 
 

@@ -23,7 +23,7 @@ from meansombor.graphs import (
     star_graph,
     to_edge_list_text,
 )
-from meansombor.indices import Alpha, mean_sombor, parse_alpha, power_mean
+from meansombor.indices import SPECIAL_VALUES, Alpha, mean_sombor, pair_sum, parse_alpha, power_mean
 from meansombor.qspr import AlphaGrid
 from tree_codes import canonical_form
 
@@ -123,6 +123,45 @@ def test_compute_reads_graph_file_with_byte_order_mark(capsys, p3_file, tmp_path
     bom.write_bytes(codecs.BOM_UTF8 + p3_file.read_bytes())
     plain, marked = (run(capsys, "compute", "--graph", str(f), "--alpha", "2") for f in (p3_file, bom))
     assert plain[0] == 0 and marked == plain
+
+
+@pytest.mark.parametrize("text", [
+    "3\n0 1\n1 2\n",
+    to_edge_list_text(enumerate_octane_skeletons()[6].graph),
+    "7\n0 1\n1 2\n2 0\n2 3\n4 5\n",  # vertex 6 isolated
+])
+def test_compute_rows_are_the_index_functions_bit_for_bit(capsys, tmp_path, text):
+    # every row is read off the graph's one profile table; each must be the
+    # per-edge definition's value, formatted with all 17 digits
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    g = parse_graph(text)
+    for spec in ("0.5", "0", "-inf", "-1", "37.5"):
+        a = parse_alpha(spec)
+        want = [(f"mSO[{a.token()}]", mean_sombor(g, a))]
+        for special, label, scale, term in SPECIAL_VALUES:
+            want.append((f"mSO[{special.token()}]", mean_sombor(g, special)))
+            want.append((label, scale * pair_sum(g, term)))
+        want = [(q, format(v, ".17g")) for q, v in want]
+        code, out, _ = run(capsys, "compute", "--graph", str(path), "--alpha", spec)
+        assert code == 0
+        assert [tuple(r) for r in csv.reader(io.StringIO(out))] == [("quantity", "value"), *want]
+        code, out, _ = run(capsys, "compute", "--graph", str(path), "--alpha", spec, "--format", "json")
+        assert code == 0
+        assert [(r["quantity"], format(r["value"], ".17g")) for r in json.loads(out)] == want
+
+
+def test_compute_on_an_edgeless_graph_prints_zeros(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("3\n")
+    code, out, _ = run(capsys, "compute", "--graph", str(path), "--alpha", "2")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 18 and {v for _, v in rows[1:]} == {"0"}
+    code, out, _ = run(capsys, "compute", "--graph", str(path), "--alpha", "2", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 17 and all(r["value"] == 0 for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ sweep over all labeled trees.
 
 import heapq
 import itertools
+import math
 import random
 from collections import Counter
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from meansombor.graphs import (
@@ -36,7 +37,17 @@ from meansombor.graphs import (
     star_graph,
     to_edge_list_text,
 )
-from scalar_battery import RegularityTag, regularity_class
+from meansombor.indices import (
+    ALPHA_MINUS_INF,
+    ALPHA_PLUS_INF,
+    SPECIAL_VALUES,
+    ZERO_LIMIT,
+    Alpha,
+    pair_sum,
+    power_mean,
+    profile_sums,
+)
+from scalar_battery import RegularityTag, degree_pairs, regularity_class
 from tree_codes import _bfs, adjacency, canonical_form, tree_centroids
 
 
@@ -229,6 +240,32 @@ def _edge_sets(draw):
 def test_is_connected_matches_the_breadth_first_walk(g):
     assert is_connected(g) == _reached_from_zero(g)
     assert g.degrees == _counted_degrees(g)
+
+
+_exponents = st.one_of(
+    st.sampled_from((ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF)),
+    st.floats(-60.0, 60.0).filter(lambda x: x != 0.0).map(Alpha.finite),
+)
+
+
+@given(_edge_sets(), st.lists(_exponents, min_size=1, max_size=3))
+@example(Graph(3, frozenset()), [ZERO_LIMIT])  # edgeless
+@example(Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5)]), [Alpha.finite(-1)])  # isolated 6
+def test_pair_sum_and_the_profile_table_are_the_counter_profile_sum(g, alphas):
+    # the reference: each term once per distinct pair of the edge-counted
+    # profile, repeated by its count, in one fsum; pair_sum takes one term
+    # per edge and the table one per pair, and both must give its bits
+    profile = degree_pairs(g)
+    table = profile_sums([g])[1]
+    terms = [term for *_, term in SPECIAL_VALUES]
+    terms += [lambda x, y, a=a: power_mean(x, y, a) for a in alphas]
+    terms.append(lambda x, y: x - 2 * y)  # not symmetric: the pair is (d_lo, d_hi)
+    for term in terms:
+        want = math.fsum(itertools.chain.from_iterable(
+            itertools.repeat(term(*p), c) for p, c in profile
+        ))
+        got = table.sums([term(x, y) for x, y in table.items]).tolist()
+        assert [pair_sum(g, term).hex(), *(v.hex() for v in got)] == [want.hex(), want.hex()]
 
 
 def _brute_force_centroids(g):

@@ -29,7 +29,6 @@ from meansombor.indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
-    ProfileSums,
     SPECIAL_VALUES,
     ZERO_LIMIT,
     alpha_sombor,
@@ -51,7 +50,13 @@ from meansombor.indices import (
 from meansombor.qspr import AlphaGrid
 from meansombor.spectral import edge_term_stats
 import scalar_kernel
-from scalar_battery import RegularityTag, all_components_regular, regularity_class
+from scalar_battery import (
+    RegularityTag,
+    all_components_regular,
+    degree_pairs,
+    profile_table,
+    regularity_class,
+)
 
 
 def naive_power_mean(x, y, alpha):
@@ -213,8 +218,8 @@ def test_mean_sombor_over_degree_pairs_is_bit_identical_to_edge_sum():
     for g in [ng.graph for ng in named] + extra:
         deg = g.degrees
         edge_pairs = [tuple(sorted((deg[u], deg[v]))) for u, v in g.edge_list]
-        assert dict(g.degree_pairs) == Counter(edge_pairs)
-        assert [p for p, _ in g.degree_pairs] == sorted(set(edge_pairs))
+        assert dict(degree_pairs(g)) == Counter(edge_pairs)
+        assert [p for p, _ in degree_pairs(g)] == sorted(set(edge_pairs))
         for a in sweep:
             per_edge = math.fsum(power_mean(deg[u], deg[v], a) for u, v in g.edge_list)
             assert mean_sombor(g, a) == per_edge
@@ -310,7 +315,7 @@ def test_power_mean_row_matches_scalar_oracle_at_its_branch_edges():
 def test_descriptor_matrix_matches_mean_sombor():
     graphs = [s.graph for s in enumerate_octane_skeletons()] + [complete_graph(5)]
     points = AlphaGrid(-3, 3, 0.25).points()
-    x = descriptor_matrix(ProfileSums([g.degree_pairs for g in graphs]), points)
+    x = descriptor_matrix(profile_table([degree_pairs(g) for g in graphs]), points)
     assert x.shape == (len(graphs), len(points))
     for g, row in zip(graphs, x.tolist()):
         for a, v in zip(points, row):
@@ -320,11 +325,11 @@ def test_descriptor_matrix_matches_mean_sombor():
 def _count_loop_descriptor_matrix(graphs, alphas):
     """The descriptor matrix as it was built from graphs: its own sorted pair
     list, column map and count loop, then the same product."""
-    pairs = sorted({p for g in graphs for p, _ in g.degree_pairs})
+    pairs = sorted({p for g in graphs for p, _ in degree_pairs(g)})
     column = {p: j for j, p in enumerate(pairs)}
     counts = np.zeros((len(graphs), len(pairs)))
     for i, g in enumerate(graphs):
-        for p, c in g.degree_pairs:
+        for p, c in degree_pairs(g):
             counts[i, column[p]] = c
     return counts @ power_mean_grid(pairs, alphas)
 
@@ -334,7 +339,7 @@ def test_descriptor_matrix_matches_the_count_loop_bit_for_bit():
     mixed = [n.graph for n in default_corpus()[:40] + random_connected_graphs(10, seed=12)]
     for graphs, grid in ((octanes, AlphaGrid()), (mixed, AlphaGrid(-3, 3, 0.05))):
         points = grid.points()
-        x = descriptor_matrix(ProfileSums([g.degree_pairs for g in graphs]), points)
+        x = descriptor_matrix(profile_table([degree_pairs(g) for g in graphs]), points)
         want = _count_loop_descriptor_matrix(graphs, points)
         assert x.shape == want.shape
         assert x.tobytes() == want.tobytes()

@@ -36,7 +36,6 @@ from meansombor.indices import (
     ALPHA_PLUS_INF,
     Alpha,
     LIMB_MIN_KEYS,
-    ProfileSums,
     ZERO_LIMIT,
     degree_pair_entries,
     mean_sombor,
@@ -45,6 +44,7 @@ from meansombor.indices import (
     power_mean_grid,
 )
 import scalar_kernel
+from scalar_battery import degree_pairs, profile_table
 
 EPS = 2.0**-52
 GRAPHS = [ng.graph for ng in default_corpus() + random_connected_graphs(40, seed=3)]
@@ -169,7 +169,7 @@ def edge_terms(g, term):
 def test_profile_sums_equal_pair_sum_per_graph(graphs, a, limbs):
     # below LIMB_MIN_KEYS keys the table takes one fsum per key, from it limbs
     graphs = graphs + LIMB_PADDING if limbs else graphs
-    profiles = ProfileSums([g.degree_pairs for g in graphs])
+    profiles = profile_table([degree_pairs(g) for g in graphs])
     for term in (lambda x, y: power_mean(x, y, a), lambda x, y: x * y / (x + y)):
         terms = [term(x, y) for x, y in profiles.items]
         sums = profiles.sums(terms)
@@ -206,9 +206,9 @@ def corpora(draw):
 @example([cycle_graph(6), disjoint_union(complete_graph(3), complete_graph(3)), cycle_graph(6)])
 @example([path_graph(3), disjoint_union(path_graph(3), Graph(1, frozenset())), Graph(1, frozenset())])
 def test_degree_pair_entries_split_a_corpus_as_its_profile_keys(graphs):
-    # the pass gives each graph's degree_pairs, graph after graph; each edge,
+    # the pass gives each graph's degree pairs, graph after graph; each edge,
     # in the order its graph's `edges` iterates, points at its pair's entry;
-    # and the sweep's batteries are the (degree_pairs, n, connected) keys of
+    # and the sweep's batteries are the (degree pairs, n, connected) keys of
     # the graphs in first-use order
     e = degree_pair_entries(graphs)
     assert e.graph.tolist() == sorted(e.graph.tolist())
@@ -216,14 +216,14 @@ def test_degree_pair_entries_split_a_corpus_as_its_profile_keys(graphs):
     for i, g in enumerate(graphs):
         at = e.graph == i
         entries = list(zip(zip(e.lo[at].tolist(), e.hi[at].tolist()), e.count[at].tolist()))
-        assert entries == list(g.degree_pairs)
+        assert entries == list(degree_pairs(g))
         for (u, v), (end, entry) in zip(g.edges, edges):
             assert (end, e.graph[entry]) == ([u, v], i)
             assert (e.lo[entry], e.hi[entry]) == tuple(sorted((g.degrees[u], g.degrees[v])))
     assert next(edges, None) is None
     keyed, columns = bounds._key_columns(graphs)
     batteries = {}
-    keys = [(g.degree_pairs, g.vertex_count, is_connected(g)) for g in graphs]
+    keys = [(degree_pairs(g), g.vertex_count, is_connected(g)) for g in graphs]
     want = [batteries.setdefault(key, len(batteries)) for key in keys]
     assert keyed == want and len(columns.m) == len(batteries)
 
@@ -231,7 +231,7 @@ def test_degree_pair_entries_split_a_corpus_as_its_profile_keys(graphs):
 @given(st.lists(edge_sets(), max_size=6), st.booleans())
 def test_profile_counts_are_each_profiles_edge_counter(graphs, large):
     graphs = graphs + LIMB_PADDING if large else graphs
-    profiles = ProfileSums([g.degree_pairs for g in graphs])
+    profiles = profile_table([degree_pairs(g) for g in graphs])
     counts = profiles.counts()
     assert counts.shape == (len(graphs), len(profiles.items)) and counts.dtype == float
     for g, row in zip(graphs, counts.tolist()):
@@ -308,7 +308,7 @@ def fsum_or_error(values):
 @given(limb_tables())
 def test_limb_sums_are_fsum_of_the_repeated_terms(table):
     terms, keys = table
-    profiles = ProfileSums(keys)
+    profiles = profile_table(keys)
     assert len(keys) >= LIMB_MIN_KEYS
     want = [fsum_or_error(chain.from_iterable(repeat(terms[x], c) for x, c in key)) for key in keys]
     error = next((w for w in want if isinstance(w, tuple)), None)
@@ -333,6 +333,6 @@ def test_limb_sums_round_near_ties_at_the_count_limit():
             assert (mantissa * c) % 2**22 == 2**21 + offset and (mantissa % 2**32) * c > 2**53
             keys.append([(len(terms), c)])
             terms.append(math.ldexp(mantissa, -52))
-    profiles = ProfileSums(keys)
+    profiles = profile_table(keys)
     for key, v in zip(keys, profiles.sums([terms[x] for x in profiles.items]).tolist()):
         assert v.hex() == math.fsum(chain.from_iterable(repeat(terms[x], c) for x, c in key)).hex()

@@ -28,7 +28,6 @@ from meansombor.indices import (
     ALPHA_MINUS_INF,
     ALPHA_PLUS_INF,
     Alpha,
-    ProfileSums,
     ZERO_LIMIT,
     descriptor_matrix,
     mean_sombor,
@@ -48,6 +47,7 @@ from meansombor.qspr import (
     write_curve_csv,
     write_reports_csv,
 )
+from scalar_battery import degree_pairs, profile_table
 
 SKELETONS = enumerate_octane_skeletons()
 
@@ -500,17 +500,16 @@ def test_scan_properties_matches_per_property_scans():
 def test_scan_command_builds_grid_and_matrix_once(capsys, monkeypatch, tmp_path):
     table = tmp_path / "props.csv"
     table.write_text(three_property_csv(), encoding="utf-8")
-    calls = {"descriptor_matrix": 0, "points": 0, "ProfileSums": 0}
-    real_matrix, real_points = qspr.descriptor_matrix, AlphaGrid.points
+    calls = {"descriptor_matrix": 0, "points": 0, "profile_sums": 0}
+    real_matrix, real_points, real_profiles = qspr.descriptor_matrix, AlphaGrid.points, qspr.profile_sums
 
     def counted_matrix(profiles, alphas):
         calls["descriptor_matrix"] += 1
         return real_matrix(profiles, alphas)
 
-    class CountedProfileSums(ProfileSums):
-        def __init__(self, multisets):
-            calls["ProfileSums"] += 1
-            super().__init__(multisets)
+    def counted_profiles(graphs):
+        calls["profile_sums"] += 1
+        return real_profiles(graphs)
 
     def counted_points(self):
         calls["points"] += 1
@@ -518,12 +517,12 @@ def test_scan_command_builds_grid_and_matrix_once(capsys, monkeypatch, tmp_path)
 
     monkeypatch.setattr(qspr, "descriptor_matrix", counted_matrix)
     monkeypatch.setattr(AlphaGrid, "points", counted_points)
-    monkeypatch.setattr(qspr, "ProfileSums", CountedProfileSums)
+    monkeypatch.setattr(qspr, "profile_sums", counted_profiles)
     out = tmp_path / "scan.csv"
     argv = ["scan", "--properties", str(table), "--alpha-range", "-2:2:0.1", "--out", str(out)]
     assert main(argv) == 0
     # one profile table for the dataset, read by the matrix, the refinements and the fits
-    assert calls == {"descriptor_matrix": 1, "points": 1, "ProfileSums": 1}
+    assert calls == {"descriptor_matrix": 1, "points": 1, "profile_sums": 1}
     assert [row[0] for row in csv.reader(io.StringIO(out.read_text()))] == ["property", "A", "B", "C"]
 
     assert main(["scan", "--properties", str(table), "--property", "D"]) == 1
@@ -649,7 +648,7 @@ def test_qspr_at_alpha_through_the_dataset_table_matches_per_column_tables():
     exponents = [*map(Alpha.finite, finite), ZERO_LIMIT, ALPHA_MINUS_INF, ALPHA_PLUS_INF]
     for prop in ds.property_names:
         recs = ds.column(prop)
-        column = ProfileSums([rec.graph.degree_pairs for rec in recs])  # one table per column
+        column = profile_table([degree_pairs(rec.graph) for rec in recs])  # one table per column
         y = [rec.properties[prop] for rec in recs]
         for a in exponents:
             x = column.mso(a).tolist()

@@ -33,6 +33,7 @@ from meansombor.spectral import (
     variance_identity,
     write_matrix_csv,
 )
+from scalar_battery import degree_pairs, profile_table
 
 
 def trace_of_square_dense(mat: np.ndarray) -> float:
@@ -190,7 +191,7 @@ def test_variance_columns_on_a_limb_table_match_per_edge_fsums():
     # these random graphs at a = -3 and -1)
     graphs = [n.graph for n in default_corpus() + random_connected_graphs(128, seed=97)]
     assert len(graphs) >= indices.LIMB_MIN_KEYS
-    edges = indices.ProfileSums([g.degree_pairs for g in graphs])
+    edges = profile_table([degree_pairs(g) for g in graphs])
     m = np.array([g.edge_count for g in graphs])
     for a in ALPHA_GRID:
         sigma2, radicand = variance_columns(edges, m, a)
@@ -214,7 +215,7 @@ def test_variance_identity_report_evaluates_each_pair_once(monkeypatch):
     monkeypatch.setattr(indices, "_power_mean_row", counting)
     # the star K1,6 with one edge between two leaves: pairs (1,6), (2,2), (2,6)
     g = Graph(7, frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (5, 6)}))
-    pairs = [p for p, _ in g.degree_pairs]
+    pairs = [p for p, _ in degree_pairs(g)]
     assert len(pairs) == 3 < g.edge_count
     for a in ALPHA_GRID:
         calls.clear()
