@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -47,12 +48,14 @@ class Graph:
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        deg = [0] * self.vertex_count
+        n = self.vertex_count
+        deg = [0] * n
         for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range or unnormalized")
+            if not 0 <= u < v < n:
+                raise ValueError(
+                    f"self-loop at vertex {u}" if u == v
+                    else f"edge ({u},{v}) out of range or unnormalized"
+                )
             deg[u] += 1
             deg[v] += 1
         object.__setattr__(self, "degrees", tuple(deg))  # frozen: set the derived field
@@ -195,13 +198,14 @@ def random_connected_graphs(count: int, seed: int) -> list["NamedGraph"]:
     """Seeded corpus of random connected graphs on 4..12 vertices: each one
     Erdos-Renyi style, resampled until connected."""
     rng = random.Random(seed)
+    # each order's pairs i < j in lexicographic order, one coin flip a pair
+    pairs = {n: [(i, j) for i in range(n) for j in range(i + 1, n)] for n in range(4, 13)}
     out = []
     for k in range(count):
         n = rng.randint(4, 12)
         p = rng.uniform(0.25, 0.85)
         while True:  # an edgeless draw is disconnected too, as n >= 4
-            pairs = frozenset((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
-            g = Graph(n, pairs)  # distinct pairs with i < j, as Graph takes them
+            g = Graph(n, frozenset([e for e in pairs[n] if rng.random() < p]))
             if is_connected(g):
                 break
         out.append(NamedGraph(f"random_{seed}_{k:04d}", g))
@@ -212,10 +216,10 @@ def random_connected_graphs(count: int, seed: int) -> list["NamedGraph"]:
 # Tree codes and enumeration
 # ---------------------------------------------------------------------------
 
-def _graft(subtrees: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
-    """Level sequence of a root whose children are `subtrees`, in that order:
-    (0,) followed by each subtree's sequence shifted down one level."""
-    return (0,) + tuple(d + 1 for t in subtrees for d in t)
+def _plant(branches: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """Level sequence of a root whose children are `branches`, in that order,
+    each a subtree's level sequence already shifted down one level."""
+    return (0, *chain.from_iterable(branches))
 
 
 def _forests(pool: list[tuple[int, ...]], m: int, start: int = 0) -> Iterator[tuple]:
@@ -241,30 +245,31 @@ def _free_tree_codes(n: int) -> Iterator[tuple[int, ...]]:
     multisets of such rooted trees with n - 1 vertices in all.  A tree with
     two centroids is an unordered pair of rooted trees on n / 2 vertices
     joined at their roots; its code is the smaller of its two rootings.
-    Rooted trees are built by size, each grafted from the multiset of its
-    subtrees.
+    Rooted trees are built by size, each planted on the multiset of its
+    subtrees.  The pool holds them as branches, shifted down one level once
+    each (a shift keeps their order), so a code is its branches chained.
     """
     pool: list[tuple[int, ...]] = []
-    subtrees: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    subtrees: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}  # keyed by branch
     for size in range(1, n // 2 + 1):
         for forest in _forests(pool, size - 1):
-            subtrees[_graft(forest)] = forest
+            subtrees[tuple(d + 1 for d in _plant(forest))] = forest
         pool = sorted(subtrees, reverse=True)
-    yield from map(_graft, _forests([t for t in pool if 2 * len(t) < n], n - 1))
+    yield from map(_plant, _forests([t for t in pool if 2 * len(t) < n], n - 1))
     if n % 2 == 0:
         halves = [t for t in pool if 2 * len(t) == n]
         for i, a in enumerate(halves):
             for b in halves[i:]:
                 yield min(
-                    _graft(sorted(subtrees[a] + (b,), reverse=True)),
-                    _graft(sorted(subtrees[b] + (a,), reverse=True)),
+                    _plant(sorted(subtrees[a] + (b,), reverse=True)),
+                    _plant(sorted(subtrees[b] + (a,), reverse=True)),
                 )
 
 
 def _tree_from_levels(levels: tuple[int, ...]) -> Graph:
     """The tree of a level sequence: vertex i sits at depth levels[i] and
     hangs from the nearest earlier vertex one level up."""
-    last: dict[int, int] = {}
+    last = [0] * len(levels)  # the latest vertex at each depth
     edges = []
     for v, d in enumerate(levels):
         if d:
@@ -280,11 +285,18 @@ def enumerate_trees(n: int) -> list[Graph]:
     Each tree is built from its centroid-rooted code, one per isomorphism
     class, and labelled by its canonical form: vertex i is entry i of the
     level sequence, and its parent is the nearest earlier vertex one level
-    up, so the labels depend only on the isomorphism class.
+    up, so the labels depend only on the isomorphism class.  The codes sort
+    in the order of their strings `".".join(map(str, code))`: '.' sorts
+    below every digit, so while every depth is one digit that is plain tuple
+    order.  No code is deeper than n // 2, the path's, so below n = 20
+    every depth is one digit.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    codes = sorted(_free_tree_codes(n), key=lambda code: ".".join(map(str, code)))
+    if n < 20:
+        codes = sorted(_free_tree_codes(n))
+    else:
+        codes = sorted(_free_tree_codes(n), key=lambda code: ".".join(map(str, code)))
     return [_tree_from_levels(code) for code in codes]
 
 

@@ -107,15 +107,18 @@ def test_parse_accepts_vertex_count_at_limit():
     [
         (lambda: Graph(0, frozenset()), "graph needs at least one vertex"),
         (lambda: Graph(3, frozenset({(1, 1)})), "self-loop at vertex 1"),
+        # a self-loop out of range is still named a self-loop
+        (lambda: Graph(3, frozenset({(5, 5)})), "self-loop at vertex 5"),
         (lambda: Graph(3, frozenset({(2, 1)})), "edge (2,1) out of range or unnormalized"),
         (lambda: Graph(3, frozenset({(0, 3)})), "edge (0,3) out of range or unnormalized"),
+        (lambda: Graph(3, frozenset({(-1, 0)})), "edge (-1,0) out of range or unnormalized"),
         # from_edges leaves the self-loop to the constructor's check
         (lambda: Graph.from_edges(3, [(1, 1)]), "self-loop at vertex 1"),
         (lambda: Graph.from_edges(3, [(0, 1), (1, 0)]), "duplicate edge (0,1)"),
     ],
     ids=[
-        "no-vertex", "self-loop", "reversed", "out-of-range",
-        "from-edges-self-loop", "from-edges-duplicate",
+        "no-vertex", "self-loop", "self-loop-out-of-range", "reversed", "out-of-range",
+        "negative", "from-edges-self-loop", "from-edges-duplicate",
     ],
 )
 def test_constructors_name_the_broken_rule(build, message):
@@ -449,6 +452,29 @@ def test_trees_strictly_increase_in_canonical_form(trees_by_order):
         assert all(a < b for a, b in zip(forms, forms[1:]))
 
 
+def _level_sequences(rng, count):
+    # random level sequences (each depth at most one more than the one
+    # before) with every depth at most 9, and a random prefix of each,
+    # which sorts first
+    out = [tuple(range(10)), (0, 1, 2), (0, 1, 1), (0,)]
+    for _ in range(count):
+        code = [0]
+        for _ in range(rng.randrange(30)):
+            d = code[-1]
+            code.append(d + 1 if d < 9 and rng.random() < 0.6 else rng.randint(1, max(d, 1)))
+        out.append(tuple(code))
+        out.append(tuple(code[: rng.randrange(1, len(code) + 1)]))
+    return out
+
+
+def test_one_digit_codes_sort_in_the_order_of_their_strings():
+    # below n = 20 enumerate_trees sorts its codes as tuples, which must be
+    # the order of their strings; enumeration stops at n = 16 in the tests,
+    # so the claim is checked on synthetic codes of every depth it can meet
+    codes = list(set(_level_sequences(random.Random(9), 4000)))
+    assert sorted(codes) == sorted(codes, key=lambda code: ".".join(map(str, code)))
+
+
 def _tree_of_level_sequence(levels):
     """Vertex i at depth levels[i], joined to the nearest earlier vertex
     one level up."""
@@ -591,6 +617,29 @@ def test_family_shapes():
     assert complete_bipartite(2, 3).edge_count == 6
     with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
         cycle_graph(2)
+
+
+def _nested_range_draws(count, seed):
+    # the draw with each graph's pairs i < j built anew in nested ranges: the
+    # same coin flips in the same order as random_connected_graphs
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(4, 12)
+        p = rng.uniform(0.25, 0.85)
+        while True:
+            pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+            g = Graph(n, frozenset(e for e in pairs if rng.random() < p))
+            if is_connected(g):
+                break
+        out.append((f"random_{seed}_{k:04d}", g))
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 97, 20240803])
+def test_random_graphs_are_the_nested_range_draws(seed):
+    drawn = [(named.name, named.graph) for named in random_connected_graphs(1000, seed)]
+    assert drawn == _nested_range_draws(1000, seed)
 
 
 def test_random_graphs_are_connected_and_reproducible():

@@ -5,7 +5,13 @@ the independent route the tests check that generator, the octane names and
 the `enumerate` manifest against.
 """
 
-from meansombor.graphs import Graph, _graft
+from meansombor.graphs import Graph
+
+
+def _graft(subtrees: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Level sequence of a root whose children are `subtrees`, in that order:
+    (0,) followed by each subtree's sequence shifted down one level."""
+    return (0,) + tuple(d + 1 for t in subtrees for d in t)
 
 
 def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
