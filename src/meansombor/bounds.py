@@ -579,10 +579,13 @@ def _flag_bits(v: Verdict, predicted, applicable, strict) -> np.ndarray:
 def _cells(numbers: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """The CSV texts of rows' (lhs, rhs, slack) `numbers`, shaped (..., 3),
     and of their flag `bits`, as (..., 4) strings.  Each distinct float64 bit
-    pattern is formatted `.17g` once, so -0.0 and 0.0 keep their own texts."""
+    pattern is formatted `.17g` once, so -0.0 and 0.0 keep their own texts,
+    all of them by one `%` over a line template: the same C conversion as
+    `format(x, ".17g")`, with no Python call per value."""
     numbers = np.ascontiguousarray(numbers, dtype=float)
     keys, inverse = np.unique(numbers.view(np.uint64), return_inverse=True)
-    texts = np.array([format(x, ".17g") for x in keys.view(float).tolist()], dtype=object)
+    values = tuple(keys.view(float).tolist())
+    texts = np.array(("%.17g\n" * len(values) % values).split("\n")[:-1], dtype=object)
     flags = _FLAG_FIELDS[bits][..., None]
     return np.concatenate([texts[inverse.reshape(numbers.shape)], flags], axis=-1)
 

@@ -11,8 +11,9 @@ A rooted tree is coded by its level sequence: the depths in preorder, each
 vertex's subtrees in descending order (Beyer and Hedetniemi, 1980).  Free
 trees are generated directly as their codes rooted at the centroid: one
 tree per isomorphism class, with no isomorphism test and no graph walk.
-The trees are sorted on the code's string and labelled by it, so the order
-and the vertex labels depend only on the isomorphism classes.
+The trees are sorted in their codes' string order (plain tuple order below
+n = 20) and labelled by their codes, so the order and the vertex labels
+depend only on the isomorphism classes.
 """
 
 from __future__ import annotations
@@ -266,14 +267,15 @@ def _free_tree_codes(n: int) -> Iterator[tuple[int, ...]]:
                 )
 
 
-def _tree_from_levels(levels: tuple[int, ...]) -> Graph:
+def _tree_from_levels(levels: tuple[int, ...], pairs: list[list[tuple[int, int]]]) -> Graph:
     """The tree of a level sequence: vertex i sits at depth levels[i] and
-    hangs from the nearest earlier vertex one level up."""
+    hangs from the nearest earlier vertex one level up.  Each edge (u, v) is
+    the tuple pairs[u][v], shared by every tree built from the same table."""
     last = [0] * len(levels)  # the latest vertex at each depth
     edges = []
     for v, d in enumerate(levels):
         if d:
-            edges.append((last[d - 1], v))
+            edges.append(pairs[last[d - 1]][v])
         last[d] = v
     return Graph(len(levels), frozenset(edges))
 
@@ -289,7 +291,10 @@ def enumerate_trees(n: int) -> list[Graph]:
     in the order of their strings `".".join(map(str, code))`: '.' sorts
     below every digit, so while every depth is one digit that is plain tuple
     order.  No code is deeper than n // 2, the path's, so below n = 20
-    every depth is one digit.
+    every depth is one digit.  The trees share one edge tuple per vertex
+    pair, so a call's trees hold at most n(n - 1)/2 edge objects, not one
+    per edge of every tree: less memory, and far fewer new objects to set
+    off the cyclic garbage collector.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -297,7 +302,8 @@ def enumerate_trees(n: int) -> list[Graph]:
         codes = sorted(_free_tree_codes(n))
     else:
         codes = sorted(_free_tree_codes(n), key=lambda code: ".".join(map(str, code)))
-    return [_tree_from_levels(code) for code in codes]
+    pairs = [[(u, v) for v in range(n)] for u in range(n)]
+    return [_tree_from_levels(code, pairs) for code in codes]
 
 
 class NamedGraph(NamedTuple):
@@ -336,8 +342,9 @@ def enumerate_octane_skeletons() -> list[NamedGraph]:
     """The 18 non-isomorphic trees on 8 vertices with maximum degree <= 4,
     in canonical order, labeled with standard isomer names; each is the
     tree of its canonical level sequence, as `enumerate_trees` builds it."""
+    pairs = [[(u, v) for v in range(8)] for u in range(8)]
     return [
-        NamedGraph(name, _tree_from_levels(tuple(map(int, c.split(".")))), c)
+        NamedGraph(name, _tree_from_levels(tuple(map(int, c.split("."))), pairs), c)
         for c, name in OCTANE_NAMES.items()
     ]
 

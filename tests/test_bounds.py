@@ -6,12 +6,15 @@ import io
 import itertools
 import math
 import random
+import struct
 import warnings
 
 import networkx as nx
 import numpy as np
 import pytest
 import scalar_battery as scalar
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from meansombor import bounds
 from meansombor.bounds import (
@@ -689,6 +692,47 @@ def test_write_reports_csv_shape(k13):
     assert lines[0] == "# seed=99 random_graphs=0"
     assert lines[1].startswith("bound_id,graph_id,alpha,lhs,rhs,slack")
     assert len(lines) == len(rows) + 2
+
+
+def _from_bits(b):
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
+
+
+def _next_below(x):
+    return math.nextafter(x, -math.inf)
+
+
+# signed zeros and infinities, NaNs with other payloads and signs, the least
+# and greatest subnormals, and both sides of the switches to exponent
+# notation at 1e16/1e17 (large) and 1e-5/1e-4 (small)
+_SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    *map(_from_bits, [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+                      0x7FFFFFFFFFFFFFFF, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+                      0x8000000000000001]),
+    1e16, _next_below(1e16), 1e17, _next_below(1e17), -1e17,
+    1e-5, _next_below(1e-5), 1e-4, _next_below(1e-4), -1e-4,
+]
+
+_float64s = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits), st.sampled_from(_SPECIAL_FLOATS)
+)
+
+
+@given(st.lists(_float64s, min_size=1, max_size=40), st.randoms(use_true_random=False))
+@example(_SPECIAL_FLOATS, random.Random(0))
+def test_cells_are_the_per_value_format_texts(values, rng):
+    # one `%` pass over a block's distinct values must give each bit pattern
+    # exactly its format(x, ".17g") text, repeats included
+    values = values + rng.choices(values, k=len(values))
+    values += [values[0]] * (-len(values) % 3)
+    rng.shuffle(values)
+    numbers = np.array(values, dtype=float).reshape(-1, 3)
+    bits = np.array([rng.randrange(32) for _ in range(len(numbers))])
+    cells = bounds._cells(numbers, bits)
+    assert cells.shape == (len(numbers), 4)
+    assert cells[:, :3].tolist() == [[format(x, ".17g") for x in row] for row in numbers.tolist()]
+    assert cells[:, 3].tolist() == [",".join(format(b, "05b")) for b in bits.tolist()]
 
 
 def _csv_writer_reference(rows, seed=None, random_count=None):

@@ -509,6 +509,16 @@ def test_tree_counts_at_orders_15_and_16(n, free, chemical):
     assert sum(max(t.degrees) <= 4 for t in trees) == chemical
 
 
+def test_one_enumeration_holds_one_edge_object_per_vertex_pair():
+    # the trees of one call share their edge tuples, so however many trees it
+    # makes, it holds no more edge objects than there are vertex pairs
+    for n in range(2, 13):
+        trees = enumerate_trees(n)
+        assert len({id(e) for t in trees for e in t.edges}) <= n * (n - 1) // 2, n
+    skeletons = enumerate_octane_skeletons()
+    assert len({id(e) for s in skeletons for e in s.graph.edges}) <= 28
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerate_trees_rejects_non_positive_order(n):
     with pytest.raises(ValueError, match="n must be positive"):
