@@ -26,7 +26,9 @@ the limbs cannot be exact.  mSO and PM come from the keys' degree-pair table
 (`ProfileSums.mso`/`power_means`); per-key arithmetic on a side that can
 overflow is CPython's, which raises where numpy would return inf or nan;
 numpy does only + - * /, sqrt, min/max and comparisons, which IEEE
-arithmetic rounds alike everywhere.
+arithmetic rounds alike everywhere.  `write_reports_csv` writes each number
+as `format(x, ".17g")` does: most of them from exact uint64 arithmetic on
+their bits (`_g17`), the rest by CPython's own conversion.
 """
 
 from __future__ import annotations
@@ -566,7 +568,7 @@ _FLAG_FIELDS = np.array([",".join(format(i, "05b")) for i in range(32)], dtype=o
 
 # Batteries whose numbers are formatted together.  One block for the whole
 # table would save few more conversions but holds every text to the end:
-# `verify --random 5000` peak RSS 116 MB, against 74 MB with blocks of 64.
+# `verify --random 5000` peak RSS 116 MB, against 64 MB with blocks of 64.
 _CELL_BLOCK = 64
 
 
@@ -576,16 +578,155 @@ def _flag_bits(v: Verdict, predicted, applicable, strict) -> np.ndarray:
     return flags @ np.array([16, 8, 4, 2, 1])
 
 
+# 5^k for k = 0..27 (5^27 < 2^63) as 32-bit limbs
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+_POW5_LO, _POW5_HI = _POW5 & 0xFFFFFFFF, _POW5 >> 32
+_E16, _E17 = 10**16, 10**17
+_BLANK, _POINT, _ZERO = (ord(c) for c in " .0")  # in increasing order
+
+
+def _digit_words() -> np.ndarray:
+    """ASCII digits as uint32 words: entry i < 10,000 is i in four digits,
+    entry 10,000 + i the same with its trailing zeros blank, and entry
+    20,000 + d three blanks and the digit d."""
+    i = np.arange(10_000)
+    plain = (np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + _ZERO).astype(np.uint8)
+    bare = plain.copy()
+    bare[np.logical_and.accumulate(plain[:, ::-1] == _ZERO, axis=1)[:, ::-1]] = _BLANK
+    lead = np.full((10, 4), _BLANK, dtype=np.uint8)
+    lead[:, 3] = np.arange(10) + _ZERO
+    return np.concatenate([plain, bare, lead]).view(np.uint32).ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, ...]:
+    """floor(m 2^e 10^k) for k = 16 - exp10, whether rounding half to even
+    takes it one up, and where both are exact: k in [1, 27] and the shift
+    s = -(e + k) in [1, 63].  m < 2^53 times 5^k is one 128-bit product of
+    32-bit limbs, shifted right by s."""
+    k = 16 - exp10
+    s = (-e - k).astype(np.uint64)  # a negative s wraps past 63
+    exact = (k >= 1) & (k <= 27) & (s >= 1) & (s <= 63)
+    f0, f1 = _POW5_LO.take(k, mode="clip"), _POW5_HI.take(k, mode="clip")
+    m0, m1 = m & 0xFFFFFFFF, m >> 32
+    lo = m0 * f0
+    mid = m1 * f0
+    mid += m0 * f1  # < 2^63 + 2^53
+    hi = m1 * f1
+    hi += mid >> 32
+    mid <<= 32
+    mid += lo
+    hi += mid < lo  # the carry out of the low word
+    lo = mid
+    del mid, m0, m1, f0, f1
+    floor = lo >> s
+    floor |= hi << (64 - s)
+    exact &= (hi >> s) == 0
+    half = np.uint64(1) << (s - 1)
+    lo &= (half << 1) - 1  # the remainder, over 2^s
+    lo += floor & 1  # a tie goes up from an odd floor only
+    return floor, lo > half, exact
+
+
+def _g17(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Where `format(x, ".17g")` of float64 `values` comes from exact integer
+    arithmetic, and those texts in order.  That is each x with 1e-11 <= |x|
+    < 2^51 whose decimal exponent X lies in [-11, 15] and passes the checks:
+    with |x| = m 2^e (`np.frexp`, m < 2^53), the 17 digits are
+    D = round-half-even(|x| 10^(16 - X)) from `_scaled`.  X is the one with
+    10^16 <= floor(|x| 10^(16 - X)) < 10^17: the float log10 only seeds it,
+    and a miss is tried once more at X +- 1.  The texts are `%g`'s: fixed
+    notation for -4 <= X < 17, else d.dddde-XX, trailing zeros dropped and
+    a point with nothing after it.  Rows are laid out in one blank-padded
+    uint8 matrix by slices per run of equal (sign, X), so values sorted by
+    bit pattern, as `np.unique` leaves them, take at most two runs per X;
+    the matrix is decoded and split at the blanks."""
+    size = np.abs(values)
+    path = (size >= 1e-11) & (size < 2.0**51)
+    size = size[path]
+    exp10 = np.floor(np.log10(size)).astype(np.int64)
+    m, e = np.frexp(size)
+    del size
+    m *= 2.0**53
+    m, e = m.astype(np.uint64), e.astype(np.int64) - 53
+    digits, up, exact = _scaled(m, e, exp10)
+    miss = np.flatnonzero((digits < _E16) | (digits >= _E17))
+    exp10[miss] += np.where(digits[miss] < _E16, -1, 1)
+    digits[miss], up[miss], retried = _scaled(m[miss], e[miss], exp10[miss])
+    exact[miss] = retried & (digits[miss] >= _E16) & (digits[miss] < _E17)
+    del m, e, miss, retried
+    digits += up
+    # a carry to 10^17 would need |x| within 5e-18 of a power of ten, relatively,
+    # which no float on the path is; it is left to `%`
+    exact &= digits < _E17
+    del up
+    if not exact.all():
+        path[path] = exact
+        digits, exp10 = digits[exact], exp10[exact]
+    negative = np.signbit(values[path])
+    n = len(digits)
+    if not n:
+        return path, []
+    # the leading digit, then four words of four digits; a word with only zero
+    # words after it is read with its trailing zeros blank
+    words = np.empty((n, 5), dtype=np.uint64)
+    words[:, 0] = digits // _E16
+    digits -= words[:, 0] * _E16
+    words[:, 0] += 20_000
+    high = digits // 10**8
+    digits -= high * 10**8
+    for j, part in ((1, high), (3, digits)):
+        words[:, j] = part // 10**4
+        words[:, j + 1] = part - words[:, j] * 10**4
+    del digits, high
+    tail = words[:, 4] == 0
+    words[:, 4] += 10_000
+    for j in (3, 2, 1):
+        zero = words[:, j] == 0
+        words[:, j] += tail * np.uint64(10_000)
+        tail &= zero
+    chars = _DIGIT_WORDS.take(words).view(np.uint8)[:, 3:]
+    del words, tail, zero
+    out = np.full((n, 24), _BLANK, dtype=np.uint8)
+    cuts = (np.flatnonzero((np.diff(exp10) != 0) | np.diff(negative)) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        x, sign = int(exp10[a]), int(negative[a])
+        if sign:
+            out[a:b, 0] = ord("-")
+        row, digit = out[a:b, sign:], chars[a:b]
+        if x >= 0:  # x + 1 integer digits (x <= 15 here), their zeros kept
+            np.maximum(digit[:, :x + 1], _ZERO, out=row[:, :x + 1])
+            np.minimum(digit[:, x + 1], _POINT, out=row[:, x + 1])  # blank before a blank
+            row[:, x + 2:18] = digit[:, x + 1:]
+        elif x >= -4:  # "0." and -x - 1 zeros first
+            row[:, :1 - x] = np.frombuffer(b"0.000", dtype=np.uint8)[:1 - x]
+            row[:, 1 - x:18 - x] = digit
+        else:  # the exponent right after the last digit kept, over a bare point
+            row[:, 0], row[:, 1], row[:, 2:18] = digit[:, 0], _POINT, digit[:, 1:]
+            kept = np.count_nonzero(digit != _BLANK, axis=1)
+            at = 1 + kept * (kept > 1)
+            suffix = np.frombuffer(f"e-{-x:02d}".encode(), dtype=np.uint8)
+            row[np.arange(b - a)[:, None], at[:, None] + np.arange(4)] = suffix
+    return path, out.tobytes().decode("ascii").split()
+
+
 def _cells(numbers: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """The CSV texts of rows' (lhs, rhs, slack) `numbers`, shaped (..., 3),
     and of their flag `bits`, as (..., 4) strings.  Each distinct float64 bit
-    pattern is formatted `.17g` once, so -0.0 and 0.0 keep their own texts,
-    all of them by one `%` over a line template: the same C conversion as
-    `format(x, ".17g")`, with no Python call per value."""
+    pattern is formatted `.17g` once, so -0.0 and 0.0 keep their own texts:
+    by `_g17`'s integer arithmetic where it applies, and the rest (zeros,
+    inf, nan and magnitudes outside it) by one `%` over a line template, the
+    same C conversion as `format(x, ".17g")`.  No Python call per value."""
     numbers = np.ascontiguousarray(numbers, dtype=float)
     keys, inverse = np.unique(numbers.view(np.uint64), return_inverse=True)
-    values = tuple(keys.view(float).tolist())
-    texts = np.array(("%.17g\n" * len(values) % values).split("\n")[:-1], dtype=object)
+    values = keys.view(float)
+    texts = np.empty(len(values), dtype=object)
+    path, path_texts = _g17(values)
+    texts[path] = path_texts
+    rest = tuple(values[~path].tolist())
+    texts[~path] = ("%.17g\n" * len(rest) % rest).split("\n")[:-1]
     flags = _FLAG_FIELDS[bits][..., None]
     return np.concatenate([texts[inverse.reshape(numbers.shape)], flags], axis=-1)
 
@@ -620,7 +761,7 @@ def write_reports_csv(
         order = list(dict.fromkeys(b for _, b in t.graphs))
         blocks = (order[i:i + _CELL_BLOCK] for i in range(0, len(order), _CELL_BLOCK))
         # a battery's text is kept only while graphs with its key remain: held to the
-        # end, the texts raise `verify --random 5000` peak RSS from 74 to 87 MB
+        # end, the texts raise `verify --random 5000` peak RSS from 64 to 80 MB
         pending = Counter(b for _, b in t.graphs)
         texts: dict[int, list[str]] = {}
         for graph_id, b in t.graphs:

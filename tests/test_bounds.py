@@ -2,6 +2,7 @@
 strictness, and the sweep plumbing."""
 
 import csv
+import decimal
 import io
 import itertools
 import math
@@ -714,6 +715,44 @@ _SPECIAL_FLOATS = [
     1e-5, _next_below(1e-5), 1e-4, _next_below(1e-4), -1e-4,
 ]
 
+
+def _ulps_around(x, ulps=2):
+    # x and its neighbours up to `ulps` steps each way
+    out, below, above = [x], x, x
+    for _ in range(ulps):
+        below, above = _next_below(below), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def _dyadic_ties():
+    # k 2^-j (k odd, below 2^53) whose exact decimal has 18 significant digits,
+    # the last a 5: an exact tie at 17 digits, rounded half to even
+    ties = []
+    for j in range(2, 26):
+        low, high = -(-10**17 // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        for k in {low | 1, (high - 1) | 1, ((low + high) // 2) | 1}:
+            if low <= k <= high:
+                x = k / 2**j
+                digits = decimal.Decimal(x).as_tuple().digits
+                assert len(digits) == 18 and digits[-1] == 5, x
+                ties.append(x)
+    return ties
+
+
+# the integer path's hard cases, each with its negative: every power of ten
+# from 1e-12 to 1e16 with its 1- and 2-ulp neighbours (where the float log10
+# misses the decimal exponent, and where a 17-digit carry would be), dyadic
+# ties, and the path's edges: 1e-11 above, 2^51 the first magnitude past it,
+# and 10^-11.5 and 10^15.5 just outside
+_PATH_FLOATS = [
+    y for x in (
+        *(v for p in range(-12, 17) for v in _ulps_around(float(f"1e{p}"))),
+        *_dyadic_ties(), *_ulps_around(10**-11.5), *_ulps_around(10**15.5), *_ulps_around(2.0**51),
+    ) for y in (x, -x)
+]
+_SPECIAL_FLOATS += _PATH_FLOATS
+
 _float64s = st.one_of(
     st.integers(0, 2**64 - 1).map(_from_bits), st.sampled_from(_SPECIAL_FLOATS)
 )
@@ -721,9 +760,11 @@ _float64s = st.one_of(
 
 @given(st.lists(_float64s, min_size=1, max_size=40), st.randoms(use_true_random=False))
 @example(_SPECIAL_FLOATS, random.Random(0))
+@example([0.0], random.Random(0))  # no value on the integer path
+@example([-0.0, math.inf, math.nan], random.Random(0))
 def test_cells_are_the_per_value_format_texts(values, rng):
-    # one `%` pass over a block's distinct values must give each bit pattern
-    # exactly its format(x, ".17g") text, repeats included
+    # the integer path and the one `%` pass over the rest of a block's distinct
+    # values must give each bit pattern its format(x, ".17g") text, repeats included
     values = values + rng.choices(values, k=len(values))
     values += [values[0]] * (-len(values) % 3)
     rng.shuffle(values)
@@ -733,6 +774,34 @@ def test_cells_are_the_per_value_format_texts(values, rng):
     assert cells.shape == (len(numbers), 4)
     assert cells[:, :3].tolist() == [[format(x, ".17g") for x in row] for row in numbers.tolist()]
     assert cells[:, 3].tolist() == [",".join(format(b, "05b")) for b in bits.tolist()]
+
+
+def test_integer_texts_take_the_path_and_equal_format():
+    # the integer kernel on its own: every hard case above 1e-11 and below 2^51
+    # in magnitude takes the path, none outside, and its texts are format's
+    values = np.unique(np.array(_PATH_FLOATS).view(np.uint64)).view(float)
+    path, texts = bounds._g17(values)
+    assert (path == ((np.abs(values) > 1e-11) & (np.abs(values) < 2.0**51))).all()
+    assert texts == [format(x, ".17g") for x in values[path].tolist()]
+    assert "-9.9999999999999995e-08" in texts and "0.0001" in texts and "1" in texts
+
+
+def test_cells_bulk_matches_format():
+    # seeded: uniform float64 bit patterns, and magnitudes spread uniformly in
+    # exponent over 1e-12..1e16 with both signs (most of them on the path)
+    rng = np.random.default_rng(20240803)
+    bits = rng.integers(0, 2**64, 150_000, dtype=np.uint64)
+    spread = 10.0 ** rng.uniform(-12, 16, 150_000) * rng.choice([-1.0, 1.0], 150_000)
+    numbers = np.concatenate([bits.view(float), spread]).reshape(-1, 3)
+    cells = bounds._cells(numbers, np.zeros(len(numbers), dtype=int))
+    assert cells[:, :3].tolist() == [[format(x, ".17g") for x in row] for row in numbers.tolist()]
+
+
+def test_write_reports_csv_of_no_rows_is_the_header():
+    for reports in (run_verification([]), []):
+        buf = io.StringIO()
+        write_reports_csv(reports, buf)
+        assert buf.getvalue() == ",".join(bounds.REPORT_COLUMNS) + "\n"
 
 
 def _csv_writer_reference(rows, seed=None, random_count=None):
